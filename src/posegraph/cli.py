@@ -46,6 +46,17 @@ def _config_from_args(args: argparse.Namespace) -> Config:
     return build_config(file_overrides, cli_overrides)
 
 
+def _collect(path: Path, suffix: str) -> list[Path]:
+    if path.is_dir():
+        found = sorted(path.glob(f"*{suffix}"))
+        if not found:
+            raise FileNotFoundError(f"no *{suffix} under {path}")
+        return found
+    if path.exists():
+        return [path]
+    raise FileNotFoundError(f"no such file: {path}")
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -101,7 +112,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _associate_one(
-    image_id: int,
     proposals: list[PersonProposal],
     candidates: list[CandidateJoint],
     method: str,
@@ -122,24 +132,11 @@ def _associate_one(
 def cmd_associate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     spec = JointSpec(delta=config.delta)
-    source = Path(args.input)
-    if source.is_dir():
-        inputs = sorted(source.glob("*.candidates.json"))
-        if not inputs:
-            print(f"error: no *.candidates.json under {source}", file=sys.stderr)
-            return 2
-    elif source.exists():
-        inputs = [source]
-    else:
-        print(f"error: no such file: {source}", file=sys.stderr)
-        return 2
-
+    inputs = _collect(Path(args.input), ".candidates.json")
     out = Path(args.out) if args.out else None
     for path in inputs:
         image_id, proposals, candidates = parse_candidates_payload(read_json(path))
-        poses, graph, total = _associate_one(
-            image_id, proposals, candidates, args.method, spec
-        )
+        poses, graph, total = _associate_one(proposals, candidates, args.method, spec)
         if out is None:
             target = path.with_name(path.name.replace(".candidates", ".results"))
         elif len(inputs) > 1 or out.is_dir():
@@ -158,17 +155,6 @@ def cmd_associate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # evaluate
-
-
-def _collect(path: Path, suffix: str) -> list[Path]:
-    if path.is_dir():
-        found = sorted(path.glob(f"*{suffix}"))
-        if not found:
-            raise FileNotFoundError(f"no *{suffix} under {path}")
-        return found
-    if path.exists():
-        return [path]
-    raise FileNotFoundError(f"no such file: {path}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -1,75 +1,48 @@
 """Runtime configuration shared by the pipeline commands.
 
-A single frozen dataclass collects every tunable constant: the interference
-attenuation ``mu``, heatmap rendering parameters, the per-type grouping
-radius table, OKS falloff constants, baseline suppression thresholds, the
-brute-force oracle guard, and the seed. Values merge with the precedence
-CLI flags > config file > built-in defaults.
+A single frozen dataclass collects the tunable constants the commands read:
+the interference attenuation ``mu``, the candidate response size ``sigma``,
+the per-type grouping radius table ``delta``, the OKS falloff constants
+``oks_sigmas``, and the ``seed``. Values merge with the precedence CLI flags
+> config file > built-in defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .heatmaps import (
-    DEFAULT_HEIGHT,
-    DEFAULT_PEAK_THRESHOLD,
-    DEFAULT_PEAK_WINDOW,
-    DEFAULT_SIGMA,
-    DEFAULT_WIDTH,
-)
+from .formats import read_json
+from .heatmaps import DEFAULT_SIGMA
 from .joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
 
 DEFAULT_MU = 0.5
-DEFAULT_NMS_IOU = 0.5
-DEFAULT_OKS_DEDUP = 0.7
-DEFAULT_ORACLE_LIMIT = 8
 
 
 @dataclass(frozen=True)
 class Config:
     mu: float = DEFAULT_MU
     sigma: float = DEFAULT_SIGMA
-    heatmap_width: int = DEFAULT_WIDTH
-    heatmap_height: int = DEFAULT_HEIGHT
-    peak_threshold: float = DEFAULT_PEAK_THRESHOLD
-    peak_window: int = DEFAULT_PEAK_WINDOW
     delta: tuple[float, ...] = dataclasses.field(
         default_factory=default_grouping_deltas
     )
     oks_sigmas: tuple[float, ...] = OKS_SIGMAS
-    nms_iou: float = DEFAULT_NMS_IOU
-    oks_dedup: float = DEFAULT_OKS_DEDUP
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.heatmap_width < 1 or self.heatmap_height < 1:
-            raise ValueError("heatmap dimensions must be >= 1")
-        if self.peak_threshold < 0.0:
-            raise ValueError("peak_threshold must be non-negative")
-        if self.peak_window < 3 or self.peak_window % 2 == 0:
-            raise ValueError("peak_window must be odd and >= 3")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         for name in ("delta", "oks_sigmas"):
             table = getattr(self, name)
             if len(table) != JOINT_COUNT:
                 raise ValueError(f"{name} must have {JOINT_COUNT} entries")
-            if any(v <= 0.0 for v in table):
-                raise ValueError(f"{name} entries must be positive")
-        if not 0.0 < self.nms_iou < 1.0:
-            raise ValueError("nms_iou must be in (0, 1)")
-        if not 0.0 < self.oks_dedup < 1.0:
-            raise ValueError("oks_dedup must be in (0, 1)")
-        if self.oracle_limit < 1:
-            raise ValueError("oracle_limit must be >= 1")
+            if not all(0.0 < v < math.inf for v in table):
+                raise ValueError(f"{name} entries must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -82,10 +55,9 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file into an override mapping.
 
     Unknown keys are rejected so that typos fail loudly instead of silently
-    falling back to defaults.
+    falling back to defaults; so are NaN and Infinity tokens.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - _FIELD_NAMES)

@@ -47,9 +47,15 @@ def write_json_atomic(path: str | Path, payload: Any) -> None:
     os.replace(tmp, path)
 
 
+def _reject_constant(token: str) -> None:
+    raise FormatError(f"non-finite number {token} is not allowed")
+
+
 def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; the NaN, Infinity and -Infinity tokens that
+    Python's json module accepts raise FormatError instead."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _require(payload: Any, key: str, where: str) -> Any:

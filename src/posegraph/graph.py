@@ -8,6 +8,7 @@ trade detections off against each other globally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError
@@ -43,8 +44,8 @@ class Edge:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"edge weight must be positive and finite, got {self.weight}")
 
 
 @dataclass
@@ -75,9 +76,6 @@ class PersonJointGraph:
             if key in seen:
                 raise IntegrityError(f"duplicate edge for (proposal, node) {key}")
             seen.add(key)
-
-    def edges_of_type(self, joint_type: int) -> list[Edge]:
-        return [e for e in self.edges if e.joint_type == joint_type]
 
     def joint_types(self) -> list[int]:
         return sorted({n.joint_type for n in self.nodes})

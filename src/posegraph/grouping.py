@@ -31,10 +31,15 @@ class CandidateJoint:
     origin: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.response <= 0:
-            raise ValueError(f"response must be positive, got {self.response}")
-        if self.response_size <= 0:
-            raise ValueError(f"response_size must be positive, got {self.response_size}")
+        x, y = self.location
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"location must be finite, got {self.location}")
+        if not 0 < self.response < math.inf:
+            raise ValueError(f"response must be positive and finite, got {self.response}")
+        if not 0 < self.response_size < math.inf:
+            raise ValueError(
+                f"response_size must be positive and finite, got {self.response_size}"
+            )
         if self.joint_type < 0:
             raise ValueError(f"joint_type must be non-negative, got {self.joint_type}")
 

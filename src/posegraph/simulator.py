@@ -24,6 +24,7 @@ from .metrics import (
     GroundTruthPerson,
     SceneAnnotation,
     UndefinedMetricError,
+    _inside,
     bbox_iou,
     crowd_index,
 )
@@ -272,11 +273,6 @@ def simulate_proposals(scene: SceneAnnotation, spec: SceneSpec) -> list[PersonPr
                 )
             )
     return proposals
-
-
-def _inside(bbox: tuple[float, float, float, float], point: tuple[float, float]) -> bool:
-    x, y, w, h = bbox
-    return x <= point[0] <= x + w and y <= point[1] <= y + h
 
 
 def proposal_responsibilities(

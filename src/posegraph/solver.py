@@ -97,12 +97,12 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
         pair set is returned.
 
     Raises:
-        ValueError: any negative weight.
+        ValueError: any negative or non-finite weight.
     """
     entries = []
     for (i, j), w in weights.items():
-        if w < 0:
-            raise ValueError(f"negative weight {w} at ({i}, {j})")
+        if not 0 <= w < INF:
+            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
         if w > 0:
             entries.append((i, j, w))
     if not entries:
@@ -212,13 +212,13 @@ def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
 
     Raises:
         SizeLimitError: more than 8 rows or 8 columns.
-        ValueError: any negative weight.
+        ValueError: any negative or non-finite weight.
     """
     entries: dict[int, list[tuple[int, float]]] = {}
     cols = set()
     for (i, j), w in weights.items():
-        if w < 0:
-            raise ValueError(f"negative weight {w} at ({i}, {j})")
+        if not 0 <= w < INF:
+            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
         if w > 0:
             entries.setdefault(i, []).append((j, w))
             cols.add(j)
@@ -255,14 +255,6 @@ def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
     return Matching(pairs=best_pairs, total_weight=best_total)
 
 
-def _subgraph_weights(graph: PersonJointGraph, joint_type: int) -> dict[tuple[int, int], float]:
-    return {
-        (e.proposal, e.node): e.weight
-        for e in graph.edges
-        if e.joint_type == joint_type
-    }
-
-
 def solve_graph(graph: PersonJointGraph) -> Assignment:
     """Solve every per-joint-type subproblem and combine the results.
 
@@ -274,13 +266,14 @@ def solve_graph(graph: PersonJointGraph) -> Assignment:
     rounding. Summing per-type subtotals instead would round twice and can
     drift a few ulps.
     """
-    weight_of = {(e.joint_type, e.proposal, e.node): e.weight for e in graph.edges}
+    by_type: dict[int, dict[tuple[int, int], float]] = {}
+    for e in graph.edges:
+        by_type.setdefault(e.joint_type, {})[(e.proposal, e.node)] = e.weight
     selected = set()
-    for joint_type in graph.joint_types():
-        matching = solve_subgraph(_subgraph_weights(graph, joint_type))
-        for i, j in matching.pairs:
+    for joint_type, weights in by_type.items():
+        for i, j in solve_subgraph(weights).pairs:
             selected.add((joint_type, i, j))
-    total = math.fsum(weight_of[triple] for triple in sorted(selected))
+    total = math.fsum(by_type[k][(i, j)] for k, i, j in sorted(selected))
     return Assignment(selected=frozenset(selected), total_weight=total)
 
 
@@ -296,9 +289,15 @@ def build_poses(
     Returns:
         Poses sorted by proposal_id.
     """
+    return _poses_from_triples(sorted(assignment.selected), graph, joint_count)
+
+
+def _poses_from_triples(
+    triples: list[tuple[int, int, int]], graph: PersonJointGraph, joint_count: int
+) -> list[Pose]:
     node_center = {n.node_id: weighted_center(n) for n in graph.nodes}
     slots: dict[int, list] = {}
-    for k, i, j in sorted(assignment.selected):
+    for k, i, j in triples:
         if k >= joint_count:
             raise ValueError(f"joint_type {k} out of range for {joint_count} joints")
         slots.setdefault(i, [None] * joint_count)[k] = node_center[j]
@@ -357,24 +356,7 @@ def greedy_baseline(
     graph: PersonJointGraph, joint_count: int = JOINT_COUNT
 ) -> list[Pose]:
     """Poses built from the per-proposal greedy selection."""
-    node_center = {n.node_id: weighted_center(n) for n in graph.nodes}
-    slots: dict[int, list] = {}
-    for k, i, j in greedy_select(graph):
-        if k >= joint_count:
-            raise ValueError(f"joint_type {k} out of range for {joint_count} joints")
-        slots.setdefault(i, [None] * joint_count)[k] = node_center[j]
-    poses = []
-    for proposal_id in sorted(slots):
-        keypoints = tuple(slots[proposal_id])
-        scores = [slot[1] for slot in keypoints if slot is not None]
-        poses.append(
-            Pose(
-                proposal_id=proposal_id,
-                keypoints=keypoints,
-                pose_score=math.fsum(scores) / len(scores),
-            )
-        )
-    return poses
+    return _poses_from_triples(greedy_select(graph), graph, joint_count)
 
 
 def bbox_nms_baseline(proposals, iou_threshold: float = 0.5):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posegraph
 from posegraph.cli import main
 from posegraph.formats import read_json
 
@@ -133,6 +138,30 @@ def test_associate_malformed_json_is_parse_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "associate", str(src))
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_associate_non_finite_number_is_parse_error(tmp_path, token):
+    # An Infinity response once hung the solver and NaN silently dropped the
+    # edge; a child process bounds the run so a regression cannot hang.
+    src = tmp_path / "bad.candidates.json"
+    src.write_text(
+        '{"image_id": 0, "proposals": [{"proposal_id": 0, '
+        '"bbox": [0, 0, 10, 10], "score": 1.0}], "candidates": ['
+        '{"proposal_id": 0, "joint_type": 0, "x": 1.0, "y": 2.0, '
+        f'"response": {token}, "u": 2.0}}]}}'
+    )
+    src_dir = str(Path(posegraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])
+    )}
+    child = subprocess.run(
+        [sys.executable, "-m", "posegraph", "associate", str(src)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 2
+    assert f"error: non-finite number {token}" in child.stderr
+    assert not (tmp_path / "bad.results.json").exists()
 
 
 def test_associate_dangling_reference_is_integrity_error(tmp_path, capsys):

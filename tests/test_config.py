@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from posegraph.config import Config, build_config, load_config_file
@@ -8,15 +10,9 @@ def test_defaults():
     config = Config()
     assert config.mu == 0.5
     assert config.sigma == 2.0
-    assert (config.heatmap_width, config.heatmap_height) == (64, 80)
-    assert config.peak_threshold == 0.1
-    assert config.peak_window == 3
     assert config.delta == default_grouping_deltas()
     assert config.oks_sigmas == OKS_SIGMAS
     assert len(config.delta) == JOINT_COUNT
-    assert config.nms_iou == 0.5
-    assert config.oks_dedup == 0.7
-    assert config.oracle_limit == 8
     assert config.seed == 0
 
 
@@ -26,17 +22,14 @@ def test_defaults():
         ("mu", -0.1),
         ("mu", 1.1),
         ("sigma", 0.0),
-        ("heatmap_width", 0),
-        ("peak_threshold", -0.5),
-        ("peak_window", 2),
-        ("peak_window", 1),
+        ("sigma", float("inf")),
+        ("sigma", float("nan")),
+        ("seed", -1),
+        ("delta", (float("nan"),) * JOINT_COUNT),
         ("delta", (1.0,) * 5),
         ("delta", (0.0,) * JOINT_COUNT),
         ("oks_sigmas", (0.5,) * 3),
-        ("nms_iou", 1.0),
-        ("oks_dedup", 0.0),
-        ("oracle_limit", 0),
-        ("seed", -1),
+        ("oks_sigmas", (float("inf"),) * JOINT_COUNT),
     ],
 )
 def test_validation_rejects_out_of_range(field, value):
@@ -51,17 +44,27 @@ def test_load_config_file(tmp_path):
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
+    # A typo, and the keys of Config fields that no longer exist.
     path = tmp_path / "config.json"
-    path.write_text('{"mu": 0.25, "muu": 1}')
-    with pytest.raises(ValueError) as err:
-        load_config_file(path)
-    assert "muu" in str(err.value)
+    for key in ("muu", "heatmap_width", "heatmap_height", "peak_threshold",
+                "peak_window", "nms_iou", "oks_dedup", "oracle_limit"):
+        path.write_text(json.dumps({"mu": 0.25, key: 1}))
+        with pytest.raises(ValueError) as err:
+            load_config_file(path)
+        assert key in str(err.value)
 
 
 def test_load_config_file_rejects_non_object(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]")
     with pytest.raises(ValueError):
+        load_config_file(path)
+
+
+def test_load_config_file_rejects_non_finite_token(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": NaN}')
+    with pytest.raises(ValueError, match="NaN"):
         load_config_file(path)
 
 

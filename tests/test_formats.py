@@ -191,6 +191,14 @@ def test_report_payload_is_rounded():
     assert set(payload) == set(report.to_dict())
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_rejects_non_finite_tokens(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"response": {token}}}')
+    with pytest.raises(FormatError, match=f"non-finite number {token}"):
+        read_json(path)
+
+
 def test_atomic_write_and_read(tmp_path):
     target = tmp_path / "doc.json"
     write_json_atomic(target, {"image_id": 1, "poses": []})

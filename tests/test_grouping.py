@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -49,6 +50,24 @@ def test_same_group_boundary_is_inclusive():
 def test_same_group_rejects_type_mismatch():
     with pytest.raises(ValueError):
         same_group(cand(0, 0, joint_type=0), cand(0, 0, joint_type=1), 1.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("location", (math.nan, 0.0)),
+        ("location", (0.0, -math.inf)),
+        ("response", math.inf),
+        ("response", math.nan),
+        ("response_size", math.inf),
+        ("response_size", math.nan),
+    ],
+)
+def test_candidate_rejects_non_finite_numbers(field, value):
+    fields = dict(location=(0.0, 0.0), response=0.5, joint_type=0,
+                  source_proposal=0, response_size=2.0)
+    with pytest.raises(ValueError, match=field):
+        CandidateJoint(**{**fields, field: value})
 
 
 @given(

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posegraph
 from posegraph.errors import SizeLimitError
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
 from posegraph.grouping import CandidateJoint, JointNode
@@ -83,6 +88,37 @@ def test_negative_weight_is_rejected():
         solve_subgraph({(0, 0): -0.1})
     with pytest.raises(ValueError):
         brute_force_oracle({(0, 0): -0.1})
+
+
+def test_non_finite_weight_is_rejected():
+    # solve_subgraph on inf is checked in a child process below: it used to hang.
+    cases = [
+        (solve_subgraph, math.nan),
+        (brute_force_oracle, math.nan),
+        (brute_force_oracle, math.inf),
+    ]
+    for solve, bad in cases:
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            solve({(0, 0): bad, (1, 0): 1.0})
+
+
+def test_infinite_weight_cannot_hang_the_solver():
+    # An unchecked inf weight made the augmenting-path search loop forever;
+    # the child process turns a regression into a timeout, not a stuck suite.
+    code = (
+        "from posegraph.solver import solve_subgraph\n"
+        "solve_subgraph({(0, 0): float('inf'), (1, 0): 1.0})\n"
+    )
+    src_dir = str(Path(posegraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])
+    )}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == 1
+    assert "ValueError: negative or non-finite weight inf at (0, 0)" in child.stderr
 
 
 def test_tie_break_prefers_lexicographically_smallest():
