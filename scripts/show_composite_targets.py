@@ -49,13 +49,12 @@ def main() -> int:
     print(f"composite target, mu={args.mu} (target left, interference right):\n")
     print(ascii_grid(grid))
 
-    heatmap = Heatmap(width=64, height=80, values=grid, sigma=args.sigma)
+    perfect = Heatmap(grid)
     print("\nextracted peaks (location, response):")
-    for location, response in extract_peaks(heatmap):
+    for location, response in extract_peaks(perfect):
         kind = "target" if location in target else "interference"
         print(f"  {location}  {response:.3f}  <- {kind}")
 
-    perfect = Heatmap(width=64, height=80, values=grid, sigma=args.sigma)
     naive = render_gaussian(target + interference, args.sigma, 64, 80)
     print(f"\nloss(perfect prediction)          = {jc_loss([perfect], [comp]):.6f}")
     print(f"loss(full-strength interference)  = {jc_loss([naive], [comp]):.6f}")

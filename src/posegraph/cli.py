@@ -41,7 +41,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
     cli_overrides = {
         "mu": getattr(args, "mu", None),
         "sigma": getattr(args, "sigma", None),
-        "seed": getattr(args, "seed", None),
     }
     return build_config(file_overrides, cli_overrides)
 
@@ -78,7 +77,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             missing_rate=args.missing_rate,
             mu=config.mu,
             sigma=config.sigma,
-            seed=config.seed + index,
+            seed=args.seed + index,
         )
         scene = simulate_scene(spec)
         stem = f"scene_{index:03d}"
@@ -327,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ValueError) as exc:
+    except (FormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,9 +2,9 @@
 
 A single frozen dataclass collects the tunable constants the commands read:
 the interference attenuation ``mu``, the candidate response size ``sigma``,
-the per-type grouping radius table ``delta``, the OKS falloff constants
-``oks_sigmas``, and the ``seed``. Values merge with the precedence CLI flags
-> config file > built-in defaults.
+the per-type grouping radius table ``delta`` and the OKS falloff constants
+``oks_sigmas``. Values merge with the precedence CLI flags > config file >
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Config:
         default_factory=default_grouping_deltas
     )
     oks_sigmas: tuple[float, ...] = OKS_SIGMAS
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
@@ -43,8 +42,6 @@ class Config:
                 raise ValueError(f"{name} must have {JOINT_COUNT} entries")
             if not all(0.0 < v < math.inf for v in table):
                 raise ValueError(f"{name} entries must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Config)}

@@ -14,13 +14,16 @@ Three document kinds move between pipeline stages:
 Floats are rounded to 6 decimals on write, so serialize -> parse is the
 identity exactly on objects whose coordinates carry at most 6 decimals and
 re-serializing a parsed document reproduces it byte for byte. Writes go
-through a temp file and os.replace so readers never observe a partial file.
+through a uniquely named temp file that is synced before os.replace, so
+readers never observe a partial file and concurrent writers never share one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -40,22 +43,47 @@ def dump_json(payload: Any) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# mkstemp creates files readable by the owner only; written files get the
+# mode a plain open() would give them.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def write_json_atomic(path: str | Path, payload: Any) -> None:
+    """Write through a uniquely named temp file in the target's directory,
+    synced to disk before it replaces the target; the temp file is removed
+    if anything fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(dump_json(payload), encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            fh.write(dump_json(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _reject_constant(token: str) -> None:
     raise FormatError(f"non-finite number {token} is not allowed")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_constant(token)
+    return value
+
+
 def read_json(path: str | Path) -> Any:
     """Parse a JSON file; the NaN, Infinity and -Infinity tokens that
-    Python's json module accepts raise FormatError instead."""
+    Python's json module accepts, and literals such as 1e309 that overflow
+    a float, raise FormatError instead."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def _require(payload: Any, key: str, where: str) -> Any:

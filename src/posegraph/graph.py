@@ -28,8 +28,10 @@ class PersonProposal:
     detection_score: float = 1.0
 
     def __post_init__(self):
-        if self.bbox[2] <= 0 or self.bbox[3] <= 0:
-            raise ValueError(f"bbox must have positive size, got {self.bbox}")
+        x, y, w, h = self.bbox
+        if not (math.isfinite(x) and math.isfinite(y) and 0 < w < math.inf
+                and 0 < h < math.inf):
+            raise ValueError(f"bbox must be finite with positive size, got {self.bbox}")
         if not 0.0 <= self.detection_score <= 1.0:
             raise ValueError(
                 f"detection_score must lie in [0, 1], got {self.detection_score}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .joints import JointSpec
+from .joints import JOINT_COUNT, JointSpec
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,9 @@ def group_candidates(
     """
     by_type: dict[int, list[int]] = {}
     for idx, cand in enumerate(candidates):
-        if cand.joint_type >= spec.joint_count:
+        if cand.joint_type >= JOINT_COUNT:
             raise ValueError(
-                f"joint_type {cand.joint_type} out of range for "
-                f"{spec.joint_count} joints"
+                f"joint_type {cand.joint_type} out of range for {JOINT_COUNT} joints"
             )
         by_type.setdefault(cand.joint_type, []).append(idx)
 

@@ -9,7 +9,7 @@ person crop. The loss averages per-channel MSE against that composite grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import maximum_filter
@@ -27,25 +27,17 @@ DEFAULT_HEIGHT = 80
 class Heatmap:
     """Dense single-channel response grid.
 
-    ``values`` is indexed ``[y, x]`` (row-major); locations elsewhere in the
-    package are ``(x, y)`` tuples. ``sigma`` records the Gaussian deviation the
-    grid was rendered with.
+    ``values`` is indexed ``[y, x]`` (row-major), so its shape is
+    ``(height, width)``; locations elsewhere in the package are ``(x, y)``
+    tuples.
     """
 
-    width: int
-    height: int
     values: np.ndarray
-    sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("heatmap dimensions must be positive")
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"(height, width) = ({self.height}, {self.width})"
-            )
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise ValueError(f"need a non-empty 2-D grid, got shape {self.values.shape}")
         if np.any(self.values < 0):
             raise ValueError("heatmap values must be non-negative")
 
@@ -62,10 +54,7 @@ class CompositeTarget:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if (self.target.width, self.target.height) != (
-            self.interference.width,
-            self.interference.height,
-        ):
+        if self.target.values.shape != self.interference.values.shape:
             raise ValueError("target and interference grids must share dimensions")
 
     def composite_values(self) -> np.ndarray:
@@ -108,7 +97,7 @@ def render_gaussian(
             dx2 = (xs - cx) ** 2
             dy2 = (ys - cy) ** 2
             values += np.exp(-(dy2[:, None] + dx2[None, :]) * inv)
-    return Heatmap(width=width, height=height, values=values, sigma=sigma)
+    return Heatmap(values)
 
 
 def compose_training_target(
@@ -189,11 +178,11 @@ def extract_peaks(
     dominated = maximum_filter(values, size=window, mode="constant", cval=-np.inf)
     candidate_mask = (values >= dominated) & (values > score_threshold)
     half = window // 2
-    width = heatmap.width
+    height, width = values.shape
     peaks = []
     for y, x in np.argwhere(candidate_mask):
         v = values[y, x]
-        y0, y1 = max(y - half, 0), min(y + half + 1, heatmap.height)
+        y0, y1 = max(y - half, 0), min(y + half + 1, height)
         x0, x1 = max(x - half, 0), min(x + half + 1, width)
         ty, tx = np.nonzero(values[y0:y1, x0:x1] == v)
         # Lowest row-major index among equal-valued window pixels wins the tie.

@@ -47,17 +47,13 @@ def default_grouping_deltas() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class JointSpec:
-    """The joint vocabulary used throughout: count, names and the per-joint
-    control deviation used when clustering candidate joints."""
+    """The per-joint control deviation used when clustering candidate joints,
+    one entry per joint of the ``JOINT_COUNT``-joint vocabulary."""
 
-    joint_count: int = JOINT_COUNT
-    names: tuple[str, ...] = JOINT_NAMES
     delta: tuple[float, ...] = field(default_factory=default_grouping_deltas)
 
     def __post_init__(self):
-        if self.joint_count != JOINT_COUNT:
-            raise ValueError(f"joint_count must be {JOINT_COUNT}, got {self.joint_count}")
-        if len(self.names) != self.joint_count or len(self.delta) != self.joint_count:
-            raise ValueError("names and delta must both have one entry per joint")
+        if len(self.delta) != JOINT_COUNT:
+            raise ValueError("delta must have one entry per joint")
         if any(d <= 0 for d in self.delta):
             raise ValueError("every delta entry must be positive")

@@ -21,7 +21,7 @@ from .joints import JOINT_COUNT, OKS_SIGMAS
 if TYPE_CHECKING:
     from .solver import Pose
 
-DEFAULT_OKS_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
+OKS_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
 
 VIS_OCCLUDED = 1
 VIS_VISIBLE = 2
@@ -41,11 +41,17 @@ class GroundTruthPerson:
     bbox: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if self.bbox[2] <= 0 or self.bbox[3] <= 0:
-            raise ValueError(f"bbox must have positive area, got {self.bbox}")
+        x, y, w, h = self.bbox
+        if not (math.isfinite(x) and math.isfinite(y) and 0 < w < math.inf
+                and 0 < h < math.inf):
+            raise ValueError(f"bbox must be finite with positive area, got {self.bbox}")
         for slot in self.keypoints:
-            if slot is not None and slot[1] not in (VIS_OCCLUDED, VIS_VISIBLE):
-                raise ValueError(f"visibility must be 1 or 2, got {slot[1]}")
+            if slot is not None:
+                (px, py), vis = slot
+                if vis not in (VIS_OCCLUDED, VIS_VISIBLE):
+                    raise ValueError(f"visibility must be 1 or 2, got {vis}")
+                if not (math.isfinite(px) and math.isfinite(py)):
+                    raise ValueError(f"keypoint location must be finite, got {slot[0]}")
 
     def labeled_joints(self) -> list[tuple[int, tuple[float, float]]]:
         return [(k, slot[0]) for k, slot in enumerate(self.keypoints) if slot]
@@ -251,11 +257,10 @@ def _ap_and_ar(
 def evaluate(
     predictions: Mapping[int, Sequence["Pose"]],
     annotations: Sequence[SceneAnnotation],
-    thresholds: Sequence[float] = DEFAULT_OKS_THRESHOLDS,
     sigmas: Sequence[float] = OKS_SIGMAS,
 ) -> EvalReport:
-    """Score predicted poses against annotations over a range of OKS
-    thresholds.
+    """Score predicted poses against annotations over the OKS thresholds
+    0.50:0.05:0.95.
 
     Per image and threshold, predictions in descending score order greedily
     claim the unmatched annotation with the highest OKS, provided that OKS
@@ -266,7 +271,6 @@ def evaluate(
     Args:
         predictions: image_id -> poses for that image.
         annotations: one SceneAnnotation per image.
-        thresholds: OKS cutoffs, default 0.50:0.05:0.95.
         sigmas: per-joint falloff constants.
 
     Returns:
@@ -324,14 +328,14 @@ def evaluate(
         return _ap_and_ar(records, n_gt)
 
     def mean_ap_ar(subset: list[int]) -> tuple[float, float, dict[float, tuple[float, float]]]:
-        per_threshold = {t: score_subset(subset, t) for t in thresholds}
-        ap = math.fsum(v[0] for v in per_threshold.values()) / len(thresholds)
-        ar = math.fsum(v[1] for v in per_threshold.values()) / len(thresholds)
+        per_threshold = {t: score_subset(subset, t) for t in OKS_THRESHOLDS}
+        ap = math.fsum(v[0] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
+        ar = math.fsum(v[1] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
         return ap, ar, per_threshold
 
     map_all, mar_all, per_t = mean_ap_ar(image_ids)
-    ap_50, ar_50 = per_t.get(0.5, (0.0, 0.0))
-    ap_75, ar_75 = per_t.get(0.75, (0.0, 0.0))
+    ap_50, ar_50 = per_t[0.5]
+    ap_75, ar_75 = per_t[0.75]
 
     band_ap = {}
     for level in CrowdingLevel:

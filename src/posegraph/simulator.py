@@ -45,6 +45,8 @@ _REFERENCE_HEIGHT = 200.0
 _BOX_MARGIN = 0.05
 _BOX_EXTENSION = 1.3
 _RESPONSE_FLOOR = 0.01
+IMAGE_WIDTH = 640
+IMAGE_HEIGHT = 480
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,6 @@ class SceneSpec:
     person_min: int = 2
     person_max: int = 6
     target_crowd_index: float = 0.5
-    image_width: int = 640
-    image_height: int = 480
     sigma_noise: float = 0.5
     fp_rate: float = 0.3
     missing_rate: float = 0.15
@@ -79,14 +79,14 @@ class SceneSpec:
             raise ValueError(
                 f"target_crowd_index must lie in [0, 1], got {self.target_crowd_index}"
             )
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
         for name in ("fp_rate", "missing_rate", "mu"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.sigma_noise < 0 or self.sigma <= 0:
             raise ValueError("sigma_noise must be >= 0 and sigma > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,13 @@ def _build_annotation(
     offsets: list[tuple[float, float]],
     spread: float,
 ) -> SceneAnnotation:
-    cx0, cy0 = spec.image_width / 2.0, spec.image_height / 2.0
+    # The image centre is also the half-extent each layout offset scales by.
+    cx0, cy0 = IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0
     all_joints = []
     boxes = []
     for body, (ox, oy) in zip(bodies, offsets):
-        px = cx0 + spread * ox * (spec.image_width / 2.0)
-        py = cy0 + spread * oy * (spec.image_height / 2.0)
+        px = cx0 + spread * ox * cx0
+        py = cy0 + spread * oy * cy0
         joints = [(px + jx, py + jy) for jx, jy in body]
         xs = [p[0] for p in joints]
         ys = [p[1] for p in joints]
@@ -173,8 +174,8 @@ def _build_annotation(
     return SceneAnnotation(
         image_id=spec.seed,
         persons=tuple(persons),
-        width=spec.image_width,
-        height=spec.image_height,
+        width=IMAGE_WIDTH,
+        height=IMAGE_HEIGHT,
     )
 
 

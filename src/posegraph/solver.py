@@ -12,13 +12,19 @@ Partial matchings are handled by giving every row a private zero-cost slack
 column: leaving a person unmatched is always feasible, and since every real
 weight is positive, a real match is chosen exactly when it helps the total.
 
-Among equal-weight optima the solver returns the lexicographically smallest
-selected pair set. Costs are (weight, rank-bit) pairs ordered
-lexicographically: the secondary component gives edge number r (in ascending
-(row, column) order out of E edges) an exact integer payoff of 2^(E - r), so
-any two distinct edge sets differ in the secondary objective and the unique
-optimum prefers earlier pairs. Integer arithmetic keeps the tie-break exact;
-the primary float comparison is untouched.
+Among optima of equal exact weight the solver returns the lexicographically
+smallest selected pair set, and it decides both without float rounding. Each
+weight becomes an exact integer: every float is an integer over a power of
+two, so scaling by the largest such denominator among a subproblem's weights
+loses nothing. Each edge then gets one integer cost, that exact weight shifted
+above a tie-break payoff. Row r's k-th edge (rows and columns ascending, R
+rows) pays (d_r - k) * B^(R - 1 - r), where d_r is the row's degree and B is a
+power of two above every degree. Matching a row at all, or to an earlier
+column, outweighs every payoff of the later rows together, which is exactly
+the lexicographic order on sorted pair tuples; the shift puts one unit of
+weight above all payoffs together. Reduced costs, potentials and path lengths
+are then plain Python integers, so a reduced cost that is zero is exactly
+zero.
 """
 
 from __future__ import annotations
@@ -82,6 +88,29 @@ class Pose:
             raise ValueError("a pose needs at least one keypoint")
 
 
+def _exact_entries(weights: dict[tuple[int, int], float]) -> list[tuple[int, int, int]]:
+    """Positive entries as (row, column, exact), ascending by (row, column).
+    ``exact`` is the weight counted in the finest binary unit among the
+    weights (every float is an integer over a power of two), so integer sums
+    of it compare exactly where float sums can round to a tie.
+
+    Raises:
+        ValueError: any negative or non-finite weight.
+    """
+    entries = []
+    unit = 1
+    for (i, j), w in weights.items():
+        if not 0 <= w < INF:
+            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
+        if w > 0:
+            n, d = w.as_integer_ratio()
+            if d > unit:
+                unit = d
+            entries.append((i, j, n, d))
+    entries.sort()
+    return [(i, j, n * (unit // d)) for i, j, n, d in entries]
+
+
 def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     """Maximum-weight bipartite matching on a sparse weight map.
 
@@ -91,23 +120,17 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
             dropped, since matching them can never help the total.
 
     Returns:
-        Matching with pairs sorted ascending and total_weight the exact sum
-        (math.fsum) of selected weights. Rows and columns may stay
-        unmatched; among equal-weight optima the lexicographically smallest
-        pair set is returned.
+        Matching with pairs sorted ascending and total_weight the correctly
+        rounded sum (math.fsum) of selected weights. Rows and columns may
+        stay unmatched; among optima of equal exact weight the
+        lexicographically smallest pair set is returned.
 
     Raises:
         ValueError: any negative or non-finite weight.
     """
-    entries = []
-    for (i, j), w in weights.items():
-        if not 0 <= w < INF:
-            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
-        if w > 0:
-            entries.append((i, j, w))
+    entries = _exact_entries(weights)
     if not entries:
         return Matching(pairs=(), total_weight=0.0)
-    entries.sort(key=lambda e: (e[0], e[1]))
 
     rows = sorted({i for i, _, _ in entries})
     cols = sorted({j for _, j, _ in entries})
@@ -116,45 +139,45 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     n_rows, n_cols = len(rows), len(cols)
     n_total = n_cols + n_rows  # real columns, then one private slack per row
 
-    # Adjacency with pair costs (negated weight, negated rank bit); the slack
-    # edge closes each row at cost zero.
-    num_edges = len(entries)
-    adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n_rows)]
-    for rank, (i, j, w) in enumerate(entries):
-        adj[row_index[i]].append((col_index[j], -w, -(1 << (num_edges - rank))))
+    # One integer cost per edge: the negated exact weight, shifted above the
+    # tie-break payoff (degree - k) * B^(n_rows - 1 - r) of row r's k-th
+    # edge, with B = 2^bits above every row degree. The slack edge closes
+    # each row at cost zero.
+    degree = [0] * n_rows
+    for i, _, _ in entries:
+        degree[row_index[i]] += 1
+    bits = max(degree).bit_length()
+    shift = bits * n_rows
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+    for i, j, exact in entries:
+        r = row_index[i]
+        payoff = (degree[r] - len(adj[r])) << (bits * (n_rows - 1 - r))
+        adj[r].append((col_index[j], -((exact << shift) + payoff)))
     for r in range(n_rows):
-        adj[r].append((n_cols + r, 0.0, 0))
+        adj[r].append((n_cols + r, 0))
 
     # Row potentials start at the row minimum so reduced costs are
     # non-negative; column potentials start at zero.
-    u_p = [0.0] * n_rows
-    u_s = [0] * n_rows
-    v_p = [0.0] * n_total
-    v_s = [0] * n_total
-    for r in range(n_rows):
-        u_p[r], u_s[r] = min((cp, cs) for _, cp, cs in adj[r])
+    u = [min(c for _, c in adj[r]) for r in range(n_rows)]
+    v = [0] * n_total
 
     col_of_row = [-1] * n_rows
     row_of_col = [-1] * n_total
 
     for r in range(n_rows):
-        dist_p = [INF] * n_total
-        dist_s = [0] * n_total
+        dist: list[float | int] = [INF] * n_total
         pred = [-1] * n_total
         done = [False] * n_total
-        heap: list[tuple[float, int, int]] = []
-        for j, cp, cs in adj[r]:
-            dp = cp - u_p[r] - v_p[j]
-            ds = cs - u_s[r] - v_s[j]
-            if (dp, ds) < (dist_p[j], dist_s[j]):
-                dist_p[j], dist_s[j] = dp, ds
-                pred[j] = r
-                heappush(heap, (dp, ds, j))
+        heap: list[tuple[int, int]] = []
+        for j, c in adj[r]:
+            dist[j] = d = c - u[r] - v[j]
+            pred[j] = r
+            heappush(heap, (d, j))
         scanned = []
         target = -1
         while heap:
-            dp, ds, j = heappop(heap)
-            if done[j] or (dp, ds) > (dist_p[j], dist_s[j]):
+            d, j = heappop(heap)
+            if done[j] or d > dist[j]:
                 continue
             done[j] = True
             if row_of_col[j] == -1:
@@ -162,25 +185,20 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
                 break
             scanned.append(j)
             i2 = row_of_col[j]
-            for j2, cp, cs in adj[i2]:
+            for j2, c in adj[i2]:
                 if done[j2]:
                     continue
-                ndp = dp + cp - u_p[i2] - v_p[j2]
-                nds = ds + cs - u_s[i2] - v_s[j2]
-                if (ndp, nds) < (dist_p[j2], dist_s[j2]):
-                    dist_p[j2], dist_s[j2] = ndp, nds
+                nd = d + c - u[i2] - v[j2]
+                if nd < dist[j2]:
+                    dist[j2] = nd
                     pred[j2] = i2
-                    heappush(heap, (ndp, nds, j2))
+                    heappush(heap, (nd, j2))
         # The private slack column is always reachable, so a target exists.
-        delta_p, delta_s = dist_p[target], dist_s[target]
+        delta = dist[target]
         for j in scanned:
-            v_p[j] += dist_p[j] - delta_p
-            v_s[j] += dist_s[j] - delta_s
-            holder = row_of_col[j]
-            u_p[holder] += delta_p - dist_p[j]
-            u_s[holder] += delta_s - dist_s[j]
-        u_p[r] += delta_p
-        u_s[r] += delta_s
+            v[j] += dist[j] - delta
+            u[row_of_col[j]] += delta - dist[j]
+        u[r] += delta
         j = target
         while True:
             i = pred[j]
@@ -191,59 +209,54 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
                 break
             j = next_j
 
-    weight_of = {(i, j): w for i, j, w in entries}
     pairs = []
     for r in range(n_rows):
         j = col_of_row[r]
         if 0 <= j < n_cols:
             pairs.append((rows[r], cols[j]))
     pairs.sort()
-    total = math.fsum(weight_of[p] for p in pairs)
+    total = math.fsum(weights[p] for p in pairs)
     return Matching(pairs=tuple(pairs), total_weight=total)
 
 
 def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
     """Exhaustive maximum-weight matching for small instances.
 
-    Enumerates every feasible matching; among equal-weight maxima the
-    lexicographically smallest pair tuple wins, mirroring the solver's
-    tie-break. Totals use math.fsum, so equal selections produce bitwise
-    equal totals.
+    Enumerates every feasible matching and compares exact integer weight
+    sums; among equal maxima the lexicographically smallest pair tuple wins,
+    mirroring the solver's tie-break. The reported total is the math.fsum of
+    the selected weights, as in the solver.
 
     Raises:
         SizeLimitError: more than 8 rows or 8 columns.
         ValueError: any negative or non-finite weight.
     """
-    entries: dict[int, list[tuple[int, float]]] = {}
-    cols = set()
-    for (i, j), w in weights.items():
-        if not 0 <= w < INF:
-            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
-        if w > 0:
-            entries.setdefault(i, []).append((j, w))
-            cols.add(j)
-    rows = sorted(entries)
-    if len(rows) > 8 or len(cols) > 8:
+    exact: dict[tuple[int, int], int] = {}
+    columns_of: dict[int, list[int]] = {}
+    for i, j, n in _exact_entries(weights):
+        exact[(i, j)] = n
+        columns_of.setdefault(i, []).append(j)
+    rows = sorted(columns_of)
+    n_cols = len({j for _, j in exact})
+    if len(rows) > 8 or n_cols > 8:
         raise SizeLimitError(
-            f"instance {len(rows)}x{len(cols)} exceeds the 8x8 enumeration guard"
+            f"instance {len(rows)}x{n_cols} exceeds the 8x8 enumeration guard"
         )
-    for i in rows:
-        entries[i].sort()
 
-    best_total = 0.0
+    best_exact = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
 
     def recurse(idx: int, used: set[int], chosen: list[tuple[int, int]]):
-        nonlocal best_total, best_pairs
+        nonlocal best_exact, best_pairs
         if idx == len(rows):
             pairs = tuple(chosen)
-            total = math.fsum(weights[p] for p in pairs)
-            if total > best_total or (total == best_total and pairs < best_pairs):
-                best_total, best_pairs = total, pairs
+            total = sum(exact[p] for p in pairs)
+            if total > best_exact or (total == best_exact and pairs < best_pairs):
+                best_exact, best_pairs = total, pairs
             return
         recurse(idx + 1, used, chosen)
         i = rows[idx]
-        for j, _w in entries[i]:
+        for j in columns_of[i]:
             if j not in used:
                 used.add(j)
                 chosen.append((i, j))
@@ -252,7 +265,8 @@ def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
                 used.remove(j)
 
     recurse(0, set(), [])
-    return Matching(pairs=best_pairs, total_weight=best_total)
+    total = math.fsum(weights[p] for p in best_pairs)
+    return Matching(pairs=best_pairs, total_weight=total)
 
 
 def solve_graph(graph: PersonJointGraph) -> Assignment:
@@ -277,9 +291,7 @@ def solve_graph(graph: PersonJointGraph) -> Assignment:
     return Assignment(selected=frozenset(selected), total_weight=total)
 
 
-def build_poses(
-    assignment: Assignment, graph: PersonJointGraph, joint_count: int = JOINT_COUNT
-) -> list[Pose]:
+def build_poses(assignment: Assignment, graph: PersonJointGraph) -> list[Pose]:
     """Turn an assignment into final poses.
 
     Each selected (joint_type, proposal, node) places the node's weighted
@@ -289,18 +301,18 @@ def build_poses(
     Returns:
         Poses sorted by proposal_id.
     """
-    return _poses_from_triples(sorted(assignment.selected), graph, joint_count)
+    return _poses_from_triples(sorted(assignment.selected), graph)
 
 
 def _poses_from_triples(
-    triples: list[tuple[int, int, int]], graph: PersonJointGraph, joint_count: int
+    triples: list[tuple[int, int, int]], graph: PersonJointGraph
 ) -> list[Pose]:
     node_center = {n.node_id: weighted_center(n) for n in graph.nodes}
     slots: dict[int, list] = {}
     for k, i, j in triples:
-        if k >= joint_count:
-            raise ValueError(f"joint_type {k} out of range for {joint_count} joints")
-        slots.setdefault(i, [None] * joint_count)[k] = node_center[j]
+        if k >= JOINT_COUNT:
+            raise ValueError(f"joint_type {k} out of range for {JOINT_COUNT} joints")
+        slots.setdefault(i, [None] * JOINT_COUNT)[k] = node_center[j]
     poses = []
     for proposal_id in sorted(slots):
         keypoints = tuple(slots[proposal_id])
@@ -352,11 +364,9 @@ def greedy_total_weight(graph: PersonJointGraph) -> float:
     return math.fsum(claimed[j] for j in sorted(claimed))
 
 
-def greedy_baseline(
-    graph: PersonJointGraph, joint_count: int = JOINT_COUNT
-) -> list[Pose]:
+def greedy_baseline(graph: PersonJointGraph) -> list[Pose]:
     """Poses built from the per-proposal greedy selection."""
-    return _poses_from_triples(greedy_select(graph), graph, joint_count)
+    return _poses_from_triples(greedy_select(graph), graph)
 
 
 def bbox_nms_baseline(proposals, iou_threshold: float = 0.5):

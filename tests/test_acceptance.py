@@ -234,9 +234,7 @@ def test_criterion_05_composite_supervision_oracle():
     comp = compose_training_target(
         [(20.0, 20.0)], [(50.0, 50.0)], mu=mu, sigma=2.0, width=64, height=80
     )
-    pred = type(comp.target)(
-        width=64, height=80, values=comp.composite_values(), sigma=2.0
-    )
+    pred = type(comp.target)(comp.composite_values())
     zero_loss = jc_loss([pred], [comp])
 
     plain = compose_training_target([(20.0, 20.0)], [(50.0, 50.0)], mu=0.0)

@@ -164,6 +164,35 @@ def test_associate_non_finite_number_is_parse_error(tmp_path, token):
     assert not (tmp_path / "bad.results.json").exists()
 
 
+@pytest.mark.parametrize("method", ["global", "greedy"])
+def test_associate_total_weight_overflow_is_named_error(tmp_path, method):
+    # Two finite 1e308 edges sum past the float range, so math.fsum raises
+    # OverflowError; it must end as a named error, not a traceback.
+    src = tmp_path / "huge.candidates.json"
+    src.write_text(json.dumps({
+        "image_id": 0,
+        "proposals": [{"proposal_id": 0, "bbox": [0, 0, 10, 10], "score": 1.0}],
+        "candidates": [
+            {"proposal_id": 0, "joint_type": k, "x": 1.0, "y": 2.0,
+             "response": 1e308, "u": 2.0}
+            for k in (0, 1)
+        ],
+    }))
+    src_dir = str(Path(posegraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])
+    )}
+    child = subprocess.run(
+        [sys.executable, "-m", "posegraph", "associate", str(src),
+         "--method", method],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 2
+    assert "error: intermediate overflow in fsum" in child.stderr
+    assert "Traceback" not in child.stderr
+    assert not (tmp_path / "huge.results.json").exists()
+
+
 def test_associate_dangling_reference_is_integrity_error(tmp_path, capsys):
     src = tmp_path / "dangling.candidates.json"
     src.write_text(json.dumps({
@@ -209,6 +238,24 @@ def test_evaluate_unknown_image_is_integrity_error(tmp_path, capsys):
     )
     assert code == 1
     assert "integrity error" in stderr
+
+
+def test_evaluate_out_of_range_bbox_is_parse_error(tmp_path, capsys):
+    # A width of 1e309 would overflow to inf; evaluate must refuse the file
+    # rather than score it.
+    out, _ = synth_clean(tmp_path, capsys, scenes=1)
+    assert main(["associate", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "scene_000.annotations.json"
+    doc = read_json(path)
+    doc["annotations"][0]["bbox"][2] = "WIDTH"
+    path.write_text(json.dumps(doc).replace('"WIDTH"', "1e309"))
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(out), "--annotations", str(out)
+    )
+    assert code == 2
+    assert "non-finite number 1e309" in stderr
+    assert "map_50_95" not in stdout
 
 
 def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
@@ -270,6 +317,26 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "muu" in stderr
+
+
+def test_config_file_cannot_set_the_seed(tmp_path, capsys):
+    # --seed alone decides the scenes, so a config file cannot name a seed.
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 7}')
+    code, _, stderr = run(
+        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "unknown config field(s): seed" in stderr
+    assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    code, _, stderr = run(
+        capsys, "synth", "--seed", "-1", "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "seed must be non-negative" in stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

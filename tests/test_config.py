@@ -13,7 +13,6 @@ def test_defaults():
     assert config.delta == default_grouping_deltas()
     assert config.oks_sigmas == OKS_SIGMAS
     assert len(config.delta) == JOINT_COUNT
-    assert config.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -21,10 +20,10 @@ def test_defaults():
     [
         ("mu", -0.1),
         ("mu", 1.1),
+        ("mu", float("nan")),
         ("sigma", 0.0),
         ("sigma", float("inf")),
         ("sigma", float("nan")),
-        ("seed", -1),
         ("delta", (float("nan"),) * JOINT_COUNT),
         ("delta", (1.0,) * 5),
         ("delta", (0.0,) * JOINT_COUNT),
@@ -39,15 +38,15 @@ def test_validation_rejects_out_of_range(field, value):
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"mu": 0.25, "seed": 7}')
-    assert load_config_file(path) == {"mu": 0.25, "seed": 7}
+    path.write_text('{"mu": 0.25, "sigma": 3.0}')
+    assert load_config_file(path) == {"mu": 0.25, "sigma": 3.0}
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
     # A typo, and the keys of Config fields that no longer exist.
     path = tmp_path / "config.json"
     for key in ("muu", "heatmap_width", "heatmap_height", "peak_threshold",
-                "peak_window", "nms_iou", "oks_dedup", "oracle_limit"):
+                "peak_window", "nms_iou", "oks_dedup", "oracle_limit", "seed"):
         path.write_text(json.dumps({"mu": 0.25, key: 1}))
         with pytest.raises(ValueError) as err:
             load_config_file(path)
@@ -63,7 +62,7 @@ def test_load_config_file_rejects_non_object(tmp_path):
 
 def test_load_config_file_rejects_non_finite_token(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"seed": NaN}')
+    path.write_text('{"mu": NaN}')
     with pytest.raises(ValueError, match="NaN"):
         load_config_file(path)
 
@@ -71,11 +70,11 @@ def test_load_config_file_rejects_non_finite_token(tmp_path):
 def test_precedence_cli_over_file_over_defaults():
     config = build_config(
         file_overrides={"mu": 0.25, "sigma": 3.0},
-        cli_overrides={"mu": 0.75, "seed": None},
+        cli_overrides={"mu": 0.75, "sigma": None},
     )
     assert config.mu == 0.75       # CLI wins
-    assert config.sigma == 3.0     # file fills what CLI left alone
-    assert config.seed == 0        # None means the flag was not given
+    assert config.sigma == 3.0     # None means the flag was not given
+    assert config.delta == default_grouping_deltas()  # neither layer set it
 
 
 def test_build_config_converts_tables_to_tuples():

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from posegraph.errors import FormatError, IntegrityError
 from posegraph.formats import (
@@ -191,12 +194,32 @@ def test_report_payload_is_rounded():
     assert set(payload) == set(report.to_dict())
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e309", "-1e400"])
 def test_read_json_rejects_non_finite_tokens(tmp_path, token):
     path = tmp_path / "doc.json"
     path.write_text(f'{{"response": {token}}}')
     with pytest.raises(FormatError, match=f"non-finite number {token}"):
         read_json(path)
+
+
+@given(st.from_regex(
+    r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,20})?[eE][+-]?[0-9]{1,4}", fullmatch=True
+))
+@example("1.7976931348623157e308")
+@example("1.7976931348623159e308")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_json_float_token_is_finite_or_rejected(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text(f"[{token}]")
+    try:
+        (value,) = read_json(path)
+    except FormatError as err:
+        assert token in str(err)
+        assert not math.isfinite(float(token))
+    else:
+        assert math.isfinite(value)
+        assert value == float(token)
 
 
 def test_atomic_write_and_read(tmp_path):
@@ -206,6 +229,31 @@ def test_atomic_write_and_read(tmp_path):
     assert target.read_text().endswith("\n")
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_atomic_write_ignores_stale_tmp_name(tmp_path):
+    # Another writer's file, or a directory, at "<name>.tmp" must not block
+    # the write.
+    target = tmp_path / "doc.json"
+    (tmp_path / "doc.json.tmp").mkdir()
+    write_json_atomic(target, {"image_id": 2})
+    assert read_json(target) == {"image_id": 2}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "doc.json.tmp"]
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path):
+    target = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_json_atomic(target, {"bad": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}")
+    target = tmp_path / "doc.json"
+    write_json_atomic(target, {})
+    assert target.stat().st_mode == plain.stat().st_mode
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -95,6 +95,16 @@ def test_non_finite_edge_weight_is_rejected(weight):
         Edge(proposal=0, node=0, joint_type=0, weight=weight)
 
 
+@pytest.mark.parametrize(
+    "bbox",
+    [(math.nan, 0.0, 1.0, 1.0), (0.0, -math.inf, 1.0, 1.0),
+     (0.0, 0.0, math.inf, 1.0), (0.0, 0.0, 1.0, math.nan)],
+)
+def test_proposal_rejects_non_finite_bbox(bbox):
+    with pytest.raises(ValueError, match="finite"):
+        PersonProposal(proposal_id=0, bbox=bbox)
+
+
 def test_degree_stats_counts_incident_edges():
     shared = node([cand(0, 0.7), cand(1, 0.4)], node_id=0)
     solo = node([cand(0, 0.9, joint_type=1)], node_id=1)

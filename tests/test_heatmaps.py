@@ -72,9 +72,11 @@ def test_render_is_additive_and_permutation_invariant(a, b):
 
 def test_heatmap_rejects_negative_values_and_bad_shape():
     with pytest.raises(ValueError):
-        Heatmap(width=4, height=4, values=-np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        Heatmap(width=4, height=4, values=np.zeros((3, 4)))
+        Heatmap(-np.ones((4, 4)))
+    for bad in (np.zeros(4), np.zeros((2, 2, 2)), np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="2-D"):
+            Heatmap(bad)
+    assert Heatmap(np.zeros((3, 4))).values.shape == (3, 4)
 
 
 def test_composite_target_and_interference_levels():
@@ -109,13 +111,22 @@ def test_composite_rejects_mu_out_of_range():
         )
 
 
+def test_composite_rejects_mismatched_grids():
+    with pytest.raises(ValueError, match="share dimensions"):
+        CompositeTarget(
+            target=render_gaussian([], width=8, height=8),
+            interference=render_gaussian([], width=8, height=6),
+            mu=0.5,
+        )
+
+
 def test_jc_loss_zero_on_exact_match():
     comps = [
         compose_training_target([(20.0, 20.0)], [(50.0, 50.0)], mu=0.5)
         for _ in range(3)
     ]
     preds = [
-        Heatmap(width=64, height=80, values=c.composite_values()) for c in comps
+        Heatmap(c.composite_values()) for c in comps
     ]
     assert jc_loss(preds, comps) == 0.0
 
@@ -124,41 +135,41 @@ def test_jc_loss_hand_value_single_channel():
     # prediction all zeros against a constant 0.5 composite on a 2x2 grid:
     # four squared residuals of 0.25 each, mean 0.25
     comp = CompositeTarget(
-        target=Heatmap(width=2, height=2, values=np.full((2, 2), 0.5)),
-        interference=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
+        target=Heatmap(np.full((2, 2), 0.5)),
+        interference=Heatmap(np.zeros((2, 2))),
         mu=0.5,
     )
-    pred = Heatmap(width=2, height=2, values=np.zeros((2, 2)))
+    pred = Heatmap(np.zeros((2, 2)))
     assert jc_loss([pred], [comp]) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_jc_loss_averages_over_channels():
     exact = CompositeTarget(
-        target=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
-        interference=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
+        target=Heatmap(np.zeros((2, 2))),
+        interference=Heatmap(np.zeros((2, 2))),
         mu=0.5,
     )
     off = CompositeTarget(
-        target=Heatmap(width=2, height=2, values=np.full((2, 2), 0.5)),
-        interference=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
+        target=Heatmap(np.full((2, 2), 0.5)),
+        interference=Heatmap(np.zeros((2, 2))),
         mu=0.5,
     )
-    zero = Heatmap(width=2, height=2, values=np.zeros((2, 2)))
+    zero = Heatmap(np.zeros((2, 2)))
     # channel losses 0.0 and 0.25, mean 0.125
     assert jc_loss([zero, zero], [exact, off]) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_jc_loss_rejects_mismatched_channels_and_grids():
     comp = CompositeTarget(
-        target=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
-        interference=Heatmap(width=2, height=2, values=np.zeros((2, 2))),
+        target=Heatmap(np.zeros((2, 2))),
+        interference=Heatmap(np.zeros((2, 2))),
         mu=0.0,
     )
-    pred = Heatmap(width=2, height=2, values=np.zeros((2, 2)))
+    pred = Heatmap(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         jc_loss([pred, pred], [comp])
     with pytest.raises(ValueError):
-        jc_loss([Heatmap(width=3, height=3, values=np.zeros((3, 3)))], [comp])
+        jc_loss([Heatmap(np.zeros((3, 3)))], [comp])
     with pytest.raises(ValueError):
         jc_loss([], [])
 
@@ -169,7 +180,7 @@ def test_extract_single_peak():
 
 
 def test_extract_nothing_from_zero_grid():
-    hm = Heatmap(width=16, height=16, values=np.zeros((16, 16)))
+    hm = Heatmap(np.zeros((16, 16)))
     assert extract_peaks(hm) == []
 
 
@@ -183,7 +194,7 @@ def test_extract_two_well_separated_peaks():
 
 
 def test_extract_orders_by_descending_response():
-    hm = Heatmap(width=8, height=8, values=np.zeros((8, 8)))
+    hm = Heatmap(np.zeros((8, 8)))
     hm.values[1, 1] = 0.5
     hm.values[5, 5] = 0.9
     peaks = extract_peaks(hm, score_threshold=0.1, window=3)
@@ -191,21 +202,21 @@ def test_extract_orders_by_descending_response():
 
 
 def test_extract_tie_goes_to_lower_row_major_index():
-    hm = Heatmap(width=8, height=8, values=np.zeros((8, 8)))
+    hm = Heatmap(np.zeros((8, 8)))
     hm.values[3, 3] = 0.7
     hm.values[3, 4] = 0.7
     assert extract_peaks(hm, score_threshold=0.1, window=3) == [((3, 3), 0.7)]
 
 
 def test_extract_threshold_is_exclusive():
-    hm = Heatmap(width=8, height=8, values=np.zeros((8, 8)))
+    hm = Heatmap(np.zeros((8, 8)))
     hm.values[4, 4] = 0.1
     assert extract_peaks(hm, score_threshold=0.1, window=3) == []
     assert extract_peaks(hm, score_threshold=0.09, window=3) == [((4, 4), 0.1)]
 
 
 def test_extract_rejects_even_or_small_window():
-    hm = Heatmap(width=8, height=8, values=np.zeros((8, 8)))
+    hm = Heatmap(np.zeros((8, 8)))
     with pytest.raises(ValueError):
         extract_peaks(hm, window=4)
     with pytest.raises(ValueError):
@@ -230,7 +241,7 @@ def test_peak_count_bound_on_random_grids(seed, width, height):
     # two peaks need a gap of ceil((window+1)/2) in one axis, which caps the
     # count at ceil(w/2) * ceil(h/2) for window 3
     rng = np.random.default_rng(seed)
-    hm = Heatmap(width=width, height=height, values=rng.random((height, width)))
+    hm = Heatmap(rng.random((height, width)))
     peaks = extract_peaks(hm, score_threshold=0.0, window=3)
     assert len(peaks) <= math.ceil(width / 2) * math.ceil(height / 2)
     # every reported peak strictly dominates its 8-neighborhood up to ties

@@ -45,6 +45,18 @@ def pose_from(gt, proposal_id=0, score=0.9, shift=(0.0, 0.0)):
                 pose_score=score)
 
 
+@pytest.mark.parametrize(
+    "bbox,joint",
+    [((math.nan, 0.0, 10.0, 10.0), (1.0, 1.0)),
+     ((0.0, 0.0, math.inf, 10.0), (1.0, 1.0)),
+     ((0.0, 0.0, 10.0, 10.0), (math.inf, 1.0)),
+     ((0.0, 0.0, 10.0, 10.0), (1.0, math.nan))],
+)
+def test_ground_truth_rejects_non_finite_numbers(bbox, joint):
+    with pytest.raises(ValueError, match="finite"):
+        gt_person([(0, joint)], bbox)
+
+
 def test_bbox_iou_identical():
     assert bbox_iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
 

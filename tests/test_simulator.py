@@ -39,6 +39,8 @@ def test_spec_validation():
         SceneSpec(person_min=4, person_max=2)
     with pytest.raises(ValueError):
         SceneSpec(fp_rate=1.2)
+    with pytest.raises(ValueError, match="seed"):
+        SceneSpec(seed=-1)
 
 
 def test_single_person_scene_has_zero_crowd_index():

@@ -128,6 +128,34 @@ def test_tie_break_prefers_lexicographically_smallest():
     assert matching.pairs == ((0, 0), (1, 1))
 
 
+def test_tie_break_is_exact_for_non_dyadic_weights():
+    # Both selections weigh {0.7, 0.1}. In float arithmetic a reduced cost
+    # that is exactly 0 comes out near -1.1e-16, which must not outweigh the
+    # tie-break and pick ((0, 1), (2, 0)).
+    weights = {(0, 1): 0.7, (1, 0): 0.1, (1, 1): 0.7, (2, 0): 0.1}
+    assert solve_subgraph(weights).pairs == ((0, 1), (1, 0))
+    assert brute_force_oracle(weights).pairs == ((0, 1), (1, 0))
+
+
+def test_solver_matches_oracle_on_non_dyadic_weights():
+    # Decimal weights are inexact in binary, so float sums of different
+    # selections can tie or swap order; both sides must compare exact sums.
+    rng = random.Random(2024)
+    values = (0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
+    for trial in range(3000):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        weights = {
+            (i, j): rng.choice(values) if trial % 4 else round(rng.random(), 6)
+            for i in range(n_rows)
+            for j in range(n_cols)
+            if rng.random() < 0.6
+        }
+        fast = solve_subgraph(weights)
+        slow = brute_force_oracle(weights)
+        assert fast.pairs == slow.pairs, weights
+        assert fast.total_weight == slow.total_weight
+
+
 def test_row_and_column_ids_need_not_be_contiguous():
     matching = solve_subgraph({(5, 100): 0.9, (7, 100): 0.8, (5, 3): 0.6})
     assert matching.pairs == ((5, 3), (7, 100))
