@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .formats import read_json
+from .errors import FormatError
+from .formats import json_numbers, read_json
 from .heatmaps import DEFAULT_SIGMA
 from .joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
 
@@ -52,7 +53,8 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file into an override mapping.
 
     Unknown keys are rejected so that typos fail loudly instead of silently
-    falling back to defaults; so are NaN and Infinity tokens.
+    falling back to defaults; so are NaN and Infinity tokens, and values
+    that are not numbers (or, for the two tables, lists of numbers).
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -60,6 +62,13 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     unknown = sorted(set(raw) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        if key not in _TUPLE_FIELDS:
+            json_numbers(raw, (key,), "config file")
+        elif isinstance(value, list):
+            json_numbers(value, (key,) * len(value), "config file")
+        else:
+            raise FormatError(f"config file field '{key}' must be a list of numbers")
     return raw
 
 

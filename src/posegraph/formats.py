@@ -94,10 +94,53 @@ def _require(payload: Any, key: str, where: str) -> Any:
     return payload[key]
 
 
+def _list(payload: Any, key: str, where: str) -> list:
+    value = _require(payload, key, where)
+    if not isinstance(value, list):
+        raise FormatError(f"{where} field '{key}' must be a list")
+    return value
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def json_numbers(payload: Any, keys: Sequence[str], where: str) -> list[int | float]:
+    """The numbers a JSON object holds under ``keys``, or the items of a list
+    (whose length the caller has checked) named by ``keys``. FormatError
+    names the field that is missing or is not a number: null, strings,
+    lists, objects and booleans are not numbers."""
+    if isinstance(payload, dict):
+        values = []
+        for key in keys:
+            value = payload.get(key)
+            if type(value) is not float and type(value) is not int:
+                break
+            values.append(value)
+        else:
+            return values
+    elif isinstance(payload, list):
+        for value in payload:
+            if type(value) is not float and type(value) is not int:
+                break
+        else:
+            return payload
+    else:
+        raise FormatError(f"{where} must be a JSON object")
+    # Only on failure: name the first field that is missing or not a number.
+    fields = payload if isinstance(payload, dict) else dict(zip(keys, payload))
+    for key in keys:
+        if key not in fields:
+            raise FormatError(f"{where} is missing field '{key}'")
+        value = fields[key]
+        if type(value) is not float and type(value) is not int:
+            kind = _JSON_TYPES.get(type(value), "null")
+            raise FormatError(f"{where} field '{key}' must be a number, got {kind}")
+
+
 def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(values, (list, tuple)) or len(values) != 4:
+    if not isinstance(values, list) or len(values) != 4:
         raise FormatError(f"{where} must be a list of 4 numbers")
-    return tuple(float(v) for v in values)
+    return tuple(float(v) for v in json_numbers(values, ("x", "y", "w", "h"), where))
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +174,22 @@ def annotations_to_payload(scenes: Sequence[SceneAnnotation]) -> dict:
 
 
 def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
-    images = _require(payload, "images", "annotation document")
-    rows = _require(payload, "annotations", "annotation document")
+    images = _list(payload, "images", "annotation document")
+    rows = _list(payload, "annotations", "annotation document")
     sizes: dict[int, tuple[int, int]] = {}
     persons: dict[int, list[GroundTruthPerson]] = {}
     for entry in images:
-        image_id = int(_require(entry, "id", "image entry"))
-        sizes[image_id] = (
-            int(_require(entry, "width", "image entry")),
-            int(_require(entry, "height", "image entry")),
+        image_id, width, height = json_numbers(
+            entry, ("id", "width", "height"), "image entry"
         )
+        image_id = int(image_id)
+        sizes[image_id] = (int(width), int(height))
         persons[image_id] = []
     for entry in rows:
-        image_id = int(_require(entry, "image_id", "annotation entry"))
+        image_id, person_id = json_numbers(
+            entry, ("image_id", "person_id"), "annotation entry"
+        )
+        image_id = int(image_id)
         if image_id not in sizes:
             raise IntegrityError(
                 f"annotation references unknown image_id {image_id}"
@@ -156,7 +202,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
             )
         slots: list[tuple[tuple[float, float], int] | None] = []
         for k in range(JOINT_COUNT):
-            x, y, vis = flat[3 * k : 3 * k + 3]
+            x, y, vis = json_numbers(flat[3 * k : 3 * k + 3], ("x", "y", "v"), "keypoint")
             vis = int(vis)
             if vis == 0:
                 slots.append(None)
@@ -166,7 +212,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
                 raise FormatError(f"visibility must be 0, 1, or 2, got {vis}")
         persons[image_id].append(
             GroundTruthPerson(
-                person_id=int(_require(entry, "person_id", "annotation entry")),
+                person_id=int(person_id),
                 keypoints=tuple(slots),
                 bbox=_float4(_require(entry, "bbox", "annotation entry"), "bbox"),
             )
@@ -184,6 +230,8 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
 
 # ---------------------------------------------------------------------------
 # candidates
+
+_CANDIDATE_FIELDS = ("proposal_id", "joint_type", "x", "y", "response", "u")
 
 
 def candidates_to_payload(
@@ -224,26 +272,32 @@ def candidates_to_payload(
 def parse_candidates_payload(
     payload: Any,
 ) -> tuple[int, list[PersonProposal], list[CandidateJoint]]:
-    image_id = int(_require(payload, "image_id", "candidates document"))
+    (image_id,) = json_numbers(payload, ("image_id",), "candidates document")
     proposals = []
     known_ids = set()
-    for entry in _require(payload, "proposals", "candidates document"):
+    for entry in _list(payload, "proposals", "candidates document"):
+        proposal_id, score = json_numbers(entry, ("proposal_id", "score"), "proposal entry")
         proposal = PersonProposal(
-            proposal_id=int(_require(entry, "proposal_id", "proposal entry")),
+            proposal_id=int(proposal_id),
             bbox=_float4(_require(entry, "bbox", "proposal entry"), "bbox"),
-            detection_score=float(_require(entry, "score", "proposal entry")),
+            detection_score=float(score),
         )
         proposals.append(proposal)
         known_ids.add(proposal.proposal_id)
-    rows = _require(payload, "candidates", "candidates document")
+    rows = _list(payload, "candidates", "candidates document")
     provenance = payload.get("provenance")
+    if provenance is not None:
+        provenance = _list(payload, "provenance", "candidates document")
     if provenance is not None and len(provenance) != len(rows):
         raise FormatError(
             f"provenance length {len(provenance)} != candidate count {len(rows)}"
         )
     candidates = []
     for index, entry in enumerate(rows):
-        proposal_id = int(_require(entry, "proposal_id", "candidate entry"))
+        proposal_id, joint_type, x, y, response, size = json_numbers(
+            entry, _CANDIDATE_FIELDS, "candidate entry"
+        )
+        proposal_id = int(proposal_id)
         if proposal_id not in known_ids:
             raise IntegrityError(
                 f"candidate {index} references unknown proposal_id {proposal_id}"
@@ -255,21 +309,21 @@ def parse_candidates_payload(
                 raise FormatError(
                     f"provenance entry {index} must be null or [person_id, joint_type]"
                 )
-            origin = (int(pair[0]), int(pair[1]))
+            person_id, origin_type = json_numbers(
+                pair, ("person_id", "joint_type"), "provenance entry"
+            )
+            origin = (int(person_id), int(origin_type))
         candidates.append(
             CandidateJoint(
-                location=(
-                    float(_require(entry, "x", "candidate entry")),
-                    float(_require(entry, "y", "candidate entry")),
-                ),
-                response=float(_require(entry, "response", "candidate entry")),
-                joint_type=int(_require(entry, "joint_type", "candidate entry")),
+                location=(float(x), float(y)),
+                response=float(response),
+                joint_type=int(joint_type),
                 source_proposal=proposal_id,
-                response_size=float(_require(entry, "u", "candidate entry")),
+                response_size=float(size),
                 origin=origin,
             )
         )
-    return image_id, proposals, candidates
+    return int(image_id), proposals, candidates
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +351,9 @@ def results_to_payload(image_id: int, poses: Sequence[Pose]) -> dict:
 
 
 def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
-    image_id = int(_require(payload, "image_id", "results document"))
+    (image_id,) = json_numbers(payload, ("image_id",), "results document")
     poses = []
-    for entry in _require(payload, "poses", "results document"):
+    for entry in _list(payload, "poses", "results document"):
         rows = _require(entry, "keypoints", "pose entry")
         if not isinstance(rows, list) or len(rows) != JOINT_COUNT:
             raise FormatError(f"pose keypoints must hold {JOINT_COUNT} entries")
@@ -310,15 +364,17 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
                 continue
             if not isinstance(row, list) or len(row) != 3:
                 raise FormatError("pose keypoint must be null or [x, y, s]")
-            slots.append(((float(row[0]), float(row[1])), float(row[2])))
+            x, y, score = json_numbers(row, ("x", "y", "s"), "pose keypoint")
+            slots.append(((float(x), float(y)), float(score)))
+        proposal_id, score = json_numbers(entry, ("proposal_id", "score"), "pose entry")
         poses.append(
             Pose(
-                proposal_id=int(_require(entry, "proposal_id", "pose entry")),
+                proposal_id=int(proposal_id),
                 keypoints=tuple(slots),
-                pose_score=float(_require(entry, "score", "pose entry")),
+                pose_score=float(score),
             )
         )
-    return image_id, poses
+    return int(image_id), poses
 
 
 # ---------------------------------------------------------------------------

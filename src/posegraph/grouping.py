@@ -65,7 +65,7 @@ def same_group(a: CandidateJoint, b: CandidateJoint, delta_k: float) -> bool:
     Args:
         a: first candidate.
         b: second candidate, same joint_type as ``a``.
-        delta_k: tolerance for this joint type, > 0.
+        delta_k: tolerance for this joint type, positive and finite.
 
     Returns:
         True when the distance between the two locations is at most
@@ -75,8 +75,8 @@ def same_group(a: CandidateJoint, b: CandidateJoint, delta_k: float) -> bool:
         raise ValueError(
             f"joint_type mismatch: {a.joint_type} vs {b.joint_type}"
         )
-    if delta_k <= 0:
-        raise ValueError(f"delta_k must be positive, got {delta_k}")
+    if not 0.0 < delta_k < math.inf:
+        raise ValueError(f"delta_k must be positive and finite, got {delta_k}")
     dist = math.hypot(a.location[0] - b.location[0], a.location[1] - b.location[1])
     return dist <= min(a.response_size, b.response_size) * delta_k
 

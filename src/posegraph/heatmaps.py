@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 DEFAULT_SIGMA = 2.0
 DEFAULT_PEAK_THRESHOLD = 0.1
@@ -29,7 +28,7 @@ class Heatmap:
 
     ``values`` is indexed ``[y, x]`` (row-major), so its shape is
     ``(height, width)``; locations elsewhere in the package are ``(x, y)``
-    tuples.
+    tuples. Every value is finite and non-negative.
     """
 
     values: np.ndarray
@@ -38,8 +37,8 @@ class Heatmap:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError(f"need a non-empty 2-D grid, got shape {self.values.shape}")
-        if np.any(self.values < 0):
-            raise ValueError("heatmap values must be non-negative")
+        if not ((self.values >= 0) & (self.values < np.inf)).all():
+            raise ValueError("heatmap values must be finite and non-negative")
 
 
 @dataclass(eq=False)
@@ -84,8 +83,8 @@ def render_gaussian(
     Returns:
         Heatmap of shape (height, width).
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if width <= 0 or height <= 0:
         raise ValueError("grid dimensions must be positive")
     values = np.zeros((height, width), dtype=np.float64)
@@ -175,19 +174,19 @@ def extract_peaks(
     if score_threshold < 0:
         raise ValueError(f"score_threshold must be non-negative, got {score_threshold}")
     values = heatmap.values
-    dominated = maximum_filter(values, size=window, mode="constant", cval=-np.inf)
-    candidate_mask = (values >= dominated) & (values > score_threshold)
-    half = window // 2
     height, width = values.shape
-    peaks = []
-    for y, x in np.argwhere(candidate_mask):
-        v = values[y, x]
-        y0, y1 = max(y - half, 0), min(y + half + 1, height)
-        x0, x1 = max(x - half, 0), min(x + half + 1, width)
-        ty, tx = np.nonzero(values[y0:y1, x0:x1] == v)
-        # Lowest row-major index among equal-valued window pixels wins the tie.
-        first = np.min((ty + y0) * width + (tx + x0))
-        if first == y * width + x:
-            peaks.append(((int(x), int(y)), float(v)))
-    peaks.sort(key=lambda p: (-p[1], p[0][1] * width + p[0][0]))
+    half = window // 2
+    padded = np.pad(values, half, constant_values=-np.inf)
+    peak = values > score_threshold
+    # padded[dy : dy + height, dx : dx + width] holds each pixel's neighbour
+    # at offset (dy - half, dx - half). A peak beats every neighbour; an equal
+    # one loses only if it comes later in row-major order (or is the pixel).
+    for dy in range(window):
+        for dx in range(window):
+            neighbour = padded[dy : dy + height, dx : dx + width]
+            peak &= values >= neighbour if (dy, dx) >= (half, half) else values > neighbour
+    ys, xs = np.nonzero(peak)
+    peaks = [((int(x), int(y)), float(values[y, x])) for y, x in zip(ys, xs)]
+    # Stable: row-major order breaks exact response ties.
+    peaks.sort(key=lambda p: -p[1])
     return peaks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 JOINT_COUNT = 14
@@ -55,5 +56,5 @@ class JointSpec:
     def __post_init__(self):
         if len(self.delta) != JOINT_COUNT:
             raise ValueError("delta must have one entry per joint")
-        if any(d <= 0 for d in self.delta):
-            raise ValueError("every delta entry must be positive")
+        if not all(0.0 < d < math.inf for d in self.delta):
+            raise ValueError("every delta entry must be positive and finite")

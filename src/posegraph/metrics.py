@@ -9,7 +9,7 @@ Scenes bucket into easy / medium / hard bands by that index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -83,17 +83,7 @@ class EvalReport:
     ap_hard: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "map_50_95": self.map_50_95,
-            "map_50": self.map_50,
-            "map_75": self.map_75,
-            "mar_50_95": self.mar_50_95,
-            "mar_50": self.mar_50,
-            "mar_75": self.mar_75,
-            "ap_easy": self.ap_easy,
-            "ap_medium": self.ap_medium,
-            "ap_hard": self.ap_hard,
-        }
+        return asdict(self)
 
 
 class CrowdingLevel(str, Enum):

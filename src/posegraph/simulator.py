@@ -83,8 +83,12 @@ class SceneSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.sigma_noise < 0 or self.sigma <= 0:
-            raise ValueError("sigma_noise must be >= 0 and sigma > 0")
+        if not 0.0 <= self.sigma_noise < math.inf:
+            raise ValueError(
+                f"sigma_noise must be >= 0 and finite, got {self.sigma_noise}"
+            )
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -193,6 +193,65 @@ def test_associate_total_weight_overflow_is_named_error(tmp_path, method):
     assert not (tmp_path / "huge.results.json").exists()
 
 
+_PROPOSAL = {"proposal_id": 0, "bbox": [0, 0, 10, 10], "score": 1.0}
+_CANDIDATE = {"proposal_id": 0, "joint_type": 0, "x": 1.0, "y": 2.0,
+              "response": 0.5, "u": 2.0}
+_CANDIDATES = {"image_id": 0, "proposals": [_PROPOSAL], "candidates": [_CANDIDATE]}
+_ANNOTATIONS = {"images": [{"id": 0, "width": 640, "height": 480}],
+                "annotations": []}
+_RESULTS = {"image_id": 0, "poses": []}
+_POSE = {"proposal_id": 0, "score": 1.0, "keypoints": [[None, 2, 3]] + [None] * 13}
+
+
+@pytest.mark.parametrize(
+    "document,payload,named",
+    [
+        ("candidates", {**_CANDIDATES, "proposals": 7}, "proposals"),
+        ("candidates", {**_CANDIDATES, "provenance": 5}, "provenance"),
+        ("candidates", {**_CANDIDATES, "candidates": [{**_CANDIDATE, "x": [1]}]},
+         "'x' must be a number, got a list"),
+        ("candidates", {**_CANDIDATES, "image_id": None},
+         "'image_id' must be a number, got null"),
+        ("candidates",
+         {**_CANDIDATES, "proposals": [{**_PROPOSAL, "bbox": [0, 0, None, 10]}]},
+         "bbox field 'w' must be a number, got null"),
+        ("annotations", {**_ANNOTATIONS, "images": 5}, "images"),
+        ("results", {**_RESULTS, "poses": [_POSE]},
+         "pose keypoint field 'x' must be a number, got null"),
+        ("config", {"mu": "abc"}, "'mu' must be a number, got a string"),
+        ("config", {"mu": True}, "'mu' must be a number, got a boolean"),
+        ("config", {"sigma": [2]}, "'sigma' must be a number, got a list"),
+        ("config", {"delta": 5}, "'delta' must be a list of numbers"),
+    ],
+    ids=["proposals-number", "provenance-number", "x-list", "image_id-null",
+         "bbox-null", "images-number", "keypoint-null", "mu-string", "mu-boolean",
+         "sigma-list", "delta-number"],
+)
+def test_wrong_json_type_is_named_error(tmp_path, capsys, document, payload, named):
+    # Each document once raised TypeError (or, for a boolean, was read as a
+    # number); a wrong type must end as a named error, exit 2.
+    docs = {"candidates": _CANDIDATES, "annotations": _ANNOTATIONS,
+            "results": _RESULTS, "config": {}}
+    docs[document] = payload
+    for name, doc in docs.items():
+        (tmp_path / f"in.{name}.json").write_text(json.dumps(doc))
+    if document in ("candidates", "config"):
+        written = tmp_path / "out.results.json"
+        argv = ["associate", str(tmp_path / "in.candidates.json"),
+                "--config", str(tmp_path / "in.config.json"), "--out", str(written)]
+    else:
+        written = tmp_path / "report.json"
+        argv = ["evaluate", "--results", str(tmp_path / "in.results.json"),
+                "--annotations", str(tmp_path / "in.annotations.json"),
+                "--out", str(written)]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: ")
+    assert named in stderr
+    assert "Traceback" not in stderr
+    assert not written.exists()
+
+
 def test_associate_dangling_reference_is_integrity_error(tmp_path, capsys):
     src = tmp_path / "dangling.candidates.json"
     src.write_text(json.dumps({
@@ -337,6 +396,16 @@ def test_synth_rejects_negative_seed(tmp_path, capsys):
     )
     assert code == 2
     assert "seed must be non-negative" in stderr
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_rejects_non_finite_noise(tmp_path, capsys, noise):
+    code, _, stderr = run(
+        capsys, "synth", "--noise", noise, "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "sigma_noise must be >= 0 and finite" in stderr
+    assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -52,6 +52,16 @@ def test_same_group_rejects_type_mismatch():
         same_group(cand(0, 0, joint_type=0), cand(0, 0, joint_type=1), 1.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(delta):
+    # A NaN tolerance once passed both checks, and then two coincident
+    # candidates formed two nodes instead of one.
+    with pytest.raises(ValueError, match="positive and finite"):
+        same_group(cand(0, 0), cand(0, 0), delta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        uniform_spec(delta)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -38,6 +38,9 @@ def test_render_rejects_bad_sigma_and_dims():
         render_gaussian([], sigma=0.0)
     with pytest.raises(ValueError):
         render_gaussian([], sigma=-1.0)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            render_gaussian([], sigma=sigma)
     with pytest.raises(ValueError):
         render_gaussian([], sigma=2.0, width=0, height=10)
 
@@ -73,6 +76,9 @@ def test_render_is_additive_and_permutation_invariant(a, b):
 def test_heatmap_rejects_negative_values_and_bad_shape():
     with pytest.raises(ValueError):
         Heatmap(-np.ones((4, 4)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Heatmap(np.array([[bad, 1.0]]))
     for bad in (np.zeros(4), np.zeros((2, 2, 2)), np.zeros((0, 4))):
         with pytest.raises(ValueError, match="2-D"):
             Heatmap(bad)
@@ -248,3 +254,46 @@ def test_peak_count_bound_on_random_grids(seed, width, height):
     for (x, y), response in peaks:
         patch = hm.values[max(y - 1, 0) : y + 2, max(x - 1, 0) : x + 2]
         assert response == patch.max()
+
+
+def reference_peaks(values, score_threshold, window):
+    """The documented rule, pixel by pixel: a peak exceeds the threshold and
+    every other pixel of its window, except equal pixels later in row-major
+    order."""
+    height, width = values.shape
+    half = window // 2
+    peaks = []
+    for y in range(height):
+        for x in range(width):
+            v = values[y, x]
+            if not v > score_threshold:
+                continue
+            if all(
+                v > values[ny, nx] or (v == values[ny, nx] and (ny, nx) > (y, x))
+                for ny in range(max(y - half, 0), min(y + half + 1, height))
+                for nx in range(max(x - half, 0), min(x + half + 1, width))
+                if (ny, nx) != (y, x)
+            ):
+                peaks.append(((x, y), float(v)))
+    return sorted(peaks, key=lambda p: (-p[1], p[0][1], p[0][0]))
+
+
+@st.composite
+def plateau_grids(draw):
+    height = draw(st.integers(1, 11))
+    width = draw(st.integers(1, 11))
+    levels = st.sampled_from([0.0, 0.05, 0.1, 0.29, 0.3, 0.7, 1.0])
+    cells = draw(st.lists(levels, min_size=height * width, max_size=height * width))
+    return np.array(cells).reshape(height, width)
+
+
+@given(
+    plateau_grids(),
+    st.sampled_from([3, 5, 7]),
+    st.sampled_from([0.0, 0.05, 0.1, 0.29]),
+)
+@settings(max_examples=300, deadline=None)
+def test_extract_matches_reference_rule(values, window, score_threshold):
+    assert extract_peaks(Heatmap(values), score_threshold, window) == reference_peaks(
+        values, score_threshold, window
+    )

@@ -41,6 +41,11 @@ def test_spec_validation():
         SceneSpec(fp_rate=1.2)
     with pytest.raises(ValueError, match="seed"):
         SceneSpec(seed=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_noise"):
+            SceneSpec(sigma_noise=bad)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            SceneSpec(sigma=bad)
 
 
 def test_single_person_scene_has_zero_crowd_index():
