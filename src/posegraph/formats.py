@@ -104,11 +104,15 @@ def _list(payload: Any, key: str, where: str) -> list:
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
-def json_numbers(payload: Any, keys: Sequence[str], where: str) -> list[int | float]:
+def json_numbers(
+    payload: Any, keys: Sequence[str], where: str, integers: Sequence[str] = ()
+) -> list[int | float]:
     """The numbers a JSON object holds under ``keys``, or the items of a list
     (whose length the caller has checked) named by ``keys``. FormatError
     names the field that is missing or is not a number: null, strings,
-    lists, objects and booleans are not numbers."""
+    lists, objects and booleans are not numbers, and neither is a
+    non-integral value such as 1.5 under one of the ``integers`` keys. An
+    integral float such as 2.0 there is returned as an int."""
     if isinstance(payload, dict):
         values = []
         for key in keys:
@@ -117,16 +121,25 @@ def json_numbers(payload: Any, keys: Sequence[str], where: str) -> list[int | fl
                 break
             values.append(value)
         else:
-            return values
+            for key in integers:
+                if type(payload[key]) is float:
+                    break
+            else:
+                return values
     elif isinstance(payload, list):
         for value in payload:
             if type(value) is not float and type(value) is not int:
                 break
         else:
-            return payload
+            for key in integers:
+                if type(payload[keys.index(key)]) is float:
+                    break
+            else:
+                return payload
     else:
         raise FormatError(f"{where} must be a JSON object")
-    # Only on failure: name the first field that is missing or not a number.
+    # Only on failure or a float under an integer key: name the first field
+    # that is missing, not a number or not integral, else convert.
     fields = payload if isinstance(payload, dict) else dict(zip(keys, payload))
     for key in keys:
         if key not in fields:
@@ -135,6 +148,9 @@ def json_numbers(payload: Any, keys: Sequence[str], where: str) -> list[int | fl
         if type(value) is not float and type(value) is not int:
             kind = _JSON_TYPES.get(type(value), "null")
             raise FormatError(f"{where} field '{key}' must be a number, got {kind}")
+        if key in integers and type(value) is float and not value.is_integer():
+            raise FormatError(f"{where} field '{key}' must be an integer, got {value}")
+    return [int(fields[key]) if key in integers else fields[key] for key in keys]
 
 
 def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
@@ -180,16 +196,15 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
     persons: dict[int, list[GroundTruthPerson]] = {}
     for entry in images:
         image_id, width, height = json_numbers(
-            entry, ("id", "width", "height"), "image entry"
+            entry, ("id", "width", "height"), "image entry", ("id", "width", "height")
         )
-        image_id = int(image_id)
-        sizes[image_id] = (int(width), int(height))
+        sizes[image_id] = (width, height)
         persons[image_id] = []
     for entry in rows:
         image_id, person_id = json_numbers(
-            entry, ("image_id", "person_id"), "annotation entry"
+            entry, ("image_id", "person_id"), "annotation entry",
+            ("image_id", "person_id"),
         )
-        image_id = int(image_id)
         if image_id not in sizes:
             raise IntegrityError(
                 f"annotation references unknown image_id {image_id}"
@@ -202,8 +217,9 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
             )
         slots: list[tuple[tuple[float, float], int] | None] = []
         for k in range(JOINT_COUNT):
-            x, y, vis = json_numbers(flat[3 * k : 3 * k + 3], ("x", "y", "v"), "keypoint")
-            vis = int(vis)
+            x, y, vis = json_numbers(
+                flat[3 * k : 3 * k + 3], ("x", "y", "v"), "keypoint", ("v",)
+            )
             if vis == 0:
                 slots.append(None)
             elif vis in (1, 2):
@@ -212,7 +228,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
                 raise FormatError(f"visibility must be 0, 1, or 2, got {vis}")
         persons[image_id].append(
             GroundTruthPerson(
-                person_id=int(person_id),
+                person_id=person_id,
                 keypoints=tuple(slots),
                 bbox=_float4(_require(entry, "bbox", "annotation entry"), "bbox"),
             )
@@ -272,13 +288,17 @@ def candidates_to_payload(
 def parse_candidates_payload(
     payload: Any,
 ) -> tuple[int, list[PersonProposal], list[CandidateJoint]]:
-    (image_id,) = json_numbers(payload, ("image_id",), "candidates document")
+    (image_id,) = json_numbers(
+        payload, ("image_id",), "candidates document", ("image_id",)
+    )
     proposals = []
     known_ids = set()
     for entry in _list(payload, "proposals", "candidates document"):
-        proposal_id, score = json_numbers(entry, ("proposal_id", "score"), "proposal entry")
+        proposal_id, score = json_numbers(
+            entry, ("proposal_id", "score"), "proposal entry", ("proposal_id",)
+        )
         proposal = PersonProposal(
-            proposal_id=int(proposal_id),
+            proposal_id=proposal_id,
             bbox=_float4(_require(entry, "bbox", "proposal entry"), "bbox"),
             detection_score=float(score),
         )
@@ -295,9 +315,8 @@ def parse_candidates_payload(
     candidates = []
     for index, entry in enumerate(rows):
         proposal_id, joint_type, x, y, response, size = json_numbers(
-            entry, _CANDIDATE_FIELDS, "candidate entry"
+            entry, _CANDIDATE_FIELDS, "candidate entry", ("proposal_id", "joint_type")
         )
-        proposal_id = int(proposal_id)
         if proposal_id not in known_ids:
             raise IntegrityError(
                 f"candidate {index} references unknown proposal_id {proposal_id}"
@@ -310,20 +329,21 @@ def parse_candidates_payload(
                     f"provenance entry {index} must be null or [person_id, joint_type]"
                 )
             person_id, origin_type = json_numbers(
-                pair, ("person_id", "joint_type"), "provenance entry"
+                pair, ("person_id", "joint_type"), "provenance entry",
+                ("person_id", "joint_type"),
             )
-            origin = (int(person_id), int(origin_type))
+            origin = (person_id, origin_type)
         candidates.append(
             CandidateJoint(
                 location=(float(x), float(y)),
                 response=float(response),
-                joint_type=int(joint_type),
+                joint_type=joint_type,
                 source_proposal=proposal_id,
                 response_size=float(size),
                 origin=origin,
             )
         )
-    return int(image_id), proposals, candidates
+    return image_id, proposals, candidates
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +371,9 @@ def results_to_payload(image_id: int, poses: Sequence[Pose]) -> dict:
 
 
 def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
-    (image_id,) = json_numbers(payload, ("image_id",), "results document")
+    (image_id,) = json_numbers(
+        payload, ("image_id",), "results document", ("image_id",)
+    )
     poses = []
     for entry in _list(payload, "poses", "results document"):
         rows = _require(entry, "keypoints", "pose entry")
@@ -366,15 +388,17 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
                 raise FormatError("pose keypoint must be null or [x, y, s]")
             x, y, score = json_numbers(row, ("x", "y", "s"), "pose keypoint")
             slots.append(((float(x), float(y)), float(score)))
-        proposal_id, score = json_numbers(entry, ("proposal_id", "score"), "pose entry")
+        proposal_id, score = json_numbers(
+            entry, ("proposal_id", "score"), "pose entry", ("proposal_id",)
+        )
         poses.append(
             Pose(
-                proposal_id=int(proposal_id),
+                proposal_id=proposal_id,
                 keypoints=tuple(slots),
                 pose_score=float(score),
             )
         )
-    return int(image_id), poses
+    return image_id, poses
 
 
 # ---------------------------------------------------------------------------

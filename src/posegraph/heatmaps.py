@@ -76,7 +76,8 @@ def render_gaussian(
 
     Args:
         centers: (x, y) locations, possibly empty, possibly off-grid.
-        sigma: Gaussian standard deviation in pixels, > 0.
+        sigma: Gaussian standard deviation in pixels, > 0 and large enough
+            (about 1e-154) that 1 / (2 sigma^2) is finite.
         width: grid width in pixels.
         height: grid height in pixels.
 
@@ -85,13 +86,16 @@ def render_gaussian(
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    two_var = 2.0 * sigma * sigma
+    inv = 1.0 / two_var if two_var > 0 else np.inf
+    if not inv < np.inf:
+        raise ValueError(f"sigma {sigma} is too small: 1 / (2 sigma^2) is not finite")
     if width <= 0 or height <= 0:
         raise ValueError("grid dimensions must be positive")
     values = np.zeros((height, width), dtype=np.float64)
     if centers:
         xs = np.arange(width, dtype=np.float64)
         ys = np.arange(height, dtype=np.float64)
-        inv = 1.0 / (2.0 * sigma * sigma)
         for cx, cy in centers:
             dx2 = (xs - cx) ** 2
             dy2 = (ys - cy) ** 2

@@ -147,6 +147,30 @@ def compute_oks(
     return math.fsum(terms) / len(labeled)
 
 
+def _joints_in_boxes(boxes: np.ndarray, joints: np.ndarray) -> np.ndarray:
+    """``inside[i, j, k]``: joint k of person j lies in box i.
+
+    ``boxes`` is P x 4 (x, y, w, h) and ``joints`` P x K x 2, NaN for an
+    unlabeled slot. The test is ``_inside``'s, with the same float sums; NaN
+    never counts as inside.
+    """
+    x, y, w, h = (boxes[:, c, None, None] for c in range(4))
+    px, py = joints[None, :, :, 0], joints[None, :, :, 1]
+    return (x <= px) & (px <= x + w) & (y <= py) & (py <= y + h)
+
+
+def _crowd_index_of(boxes: np.ndarray, joints: np.ndarray) -> float | None:
+    """The crowd index of persons given as arrays (see ``_joints_in_boxes``),
+    or None when no person has a labeled joint in its own box."""
+    counts = _joints_in_boxes(boxes, joints).sum(axis=2)
+    own = np.diagonal(counts)
+    foreign = counts.sum(axis=1) - own
+    ratios = [f / o for f, o in zip(foreign.tolist(), own.tolist()) if o]
+    if not ratios:
+        return None
+    return math.fsum(ratios) / len(ratios)
+
+
 def crowd_index(scene: SceneAnnotation) -> float:
     """Mean over persons of (foreign labeled joints in own box) / (own
     labeled joints in own box).
@@ -158,24 +182,18 @@ def crowd_index(scene: SceneAnnotation) -> float:
     Raises:
         UndefinedMetricError: no person has a labeled joint in its own box.
     """
-    ratios = []
-    for person in scene.persons:
-        own = sum(1 for _, loc in person.labeled_joints() if _inside(person.bbox, loc))
-        if own == 0:
-            continue
-        foreign = 0
-        for other in scene.persons:
-            if other.person_id == person.person_id:
-                continue
-            foreign += sum(
-                1 for _, loc in other.labeled_joints() if _inside(person.bbox, loc)
-            )
-        ratios.append(foreign / own)
-    if not ratios:
+    slots = max((len(p.keypoints) for p in scene.persons), default=0)
+    joints = np.full((len(scene.persons), slots, 2), np.nan)
+    for j, person in enumerate(scene.persons):
+        for k, loc in person.labeled_joints():
+            joints[j, k] = loc
+    boxes = np.array([p.bbox for p in scene.persons], dtype=float).reshape(-1, 4)
+    index = _crowd_index_of(boxes, joints)
+    if index is None:
         raise UndefinedMetricError(
             f"image {scene.image_id}: no person with labeled joints in its own bbox"
         )
-    return math.fsum(ratios) / len(ratios)
+    return index
 
 
 def crowding_level(index: float) -> CrowdingLevel:

@@ -23,10 +23,10 @@ from .joints import JOINT_COUNT
 from .metrics import (
     GroundTruthPerson,
     SceneAnnotation,
-    UndefinedMetricError,
+    _crowd_index_of,
     _inside,
+    _joints_in_boxes,
     bbox_iou,
-    crowd_index,
 )
 
 # Canonical standing skeleton, (x, y) in fractions of body height, y down,
@@ -132,54 +132,26 @@ def _sample_bodies(rng: np.random.Generator, count: int) -> list[list[tuple[floa
 
 
 def _build_annotation(
-    spec: SceneSpec,
-    bodies: list[list[tuple[float, float]]],
-    offsets: list[tuple[float, float]],
-    spread: float,
+    spec: SceneSpec, boxes: np.ndarray, joints: np.ndarray
 ) -> SceneAnnotation:
-    # The image centre is also the half-extent each layout offset scales by.
-    cx0, cy0 = IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0
-    all_joints = []
-    boxes = []
-    for body, (ox, oy) in zip(bodies, offsets):
-        px = cx0 + spread * ox * cx0
-        py = cy0 + spread * oy * cy0
-        joints = [(px + jx, py + jy) for jx, jy in body]
-        xs = [p[0] for p in joints]
-        ys = [p[1] for p in joints]
-        mx = (max(xs) - min(xs)) * _BOX_MARGIN
-        my = (max(ys) - min(ys)) * _BOX_MARGIN
-        boxes.append(
-            (
-                min(xs) - mx,
-                min(ys) - my,
-                (max(xs) - min(xs)) + 2 * mx,
-                (max(ys) - min(ys)) + 2 * my,
-            )
+    # A joint is occluded (visibility 1) when another person's box covers it.
+    inside = _joints_in_boxes(boxes, joints)
+    inside[np.diag_indices(len(boxes))] = False
+    occluded = inside.any(axis=0).tolist()
+    persons = tuple(
+        GroundTruthPerson(
+            person_id=idx,
+            keypoints=tuple(
+                ((x, y), 1 if hidden else 2) for (x, y), hidden in zip(points, flags)
+            ),
+            bbox=tuple(box),
         )
-        all_joints.append(joints)
-
-    def occluded(person_idx: int, point: tuple[float, float]) -> bool:
-        for other_idx, (bx, by, bw, bh) in enumerate(boxes):
-            if other_idx == person_idx:
-                continue
-            if bx <= point[0] <= bx + bw and by <= point[1] <= by + bh:
-                return True
-        return False
-
-    persons = []
-    for idx, joints in enumerate(all_joints):
-        keypoints = tuple(
-            (point, 1 if occluded(idx, point) else 2) for point in joints
+        for idx, (points, flags, box) in enumerate(
+            zip(joints.tolist(), occluded, boxes.tolist())
         )
-        persons.append(
-            GroundTruthPerson(person_id=idx, keypoints=keypoints, bbox=boxes[idx])
-        )
+    )
     return SceneAnnotation(
-        image_id=spec.seed,
-        persons=tuple(persons),
-        width=IMAGE_WIDTH,
-        height=IMAGE_HEIGHT,
+        image_id=spec.seed, persons=persons, width=IMAGE_WIDTH, height=IMAGE_HEIGHT
     )
 
 
@@ -204,32 +176,40 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         radius = rng.uniform(0.7, 1.3)
         offsets.append((radius * math.cos(angle), radius * math.sin(angle)))
 
-    def achieved(annotation: SceneAnnotation) -> float:
-        try:
-            return crowd_index(annotation)
-        except UndefinedMetricError:
-            return 0.0
+    # The image centre is also the half-extent each layout offset scales by.
+    centre = np.array([IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0])
+    body_array, offset_array = np.array(bodies), np.array(offsets)
+
+    def layout(spread: float) -> tuple[np.ndarray, np.ndarray]:
+        """Boxes (P x 4) and joints (P x 14 x 2) at one spread."""
+        # Keep these float operations and their order: tests pin the
+        # scenes' bytes by SHA-256.
+        joints = (centre + spread * offset_array * centre)[:, None, :] + body_array
+        low, high = joints.min(axis=1), joints.max(axis=1)
+        margin = (high - low) * _BOX_MARGIN
+        return np.hstack([low - margin, (high - low) + 2 * margin]), joints
+
+    def achieved(spread: float) -> float:
+        index = _crowd_index_of(*layout(spread))
+        return 0.0 if index is None else index
 
     best = None
     for step in range(41):
         spread = step * 0.05
-        annotation = _build_annotation(spec, bodies, offsets, spread)
-        err = abs(achieved(annotation) - spec.target_crowd_index)
+        err = abs(achieved(spread) - spec.target_crowd_index)
         if best is None or err < best[0]:
             best = (err, spread)
     for step in range(-5, 6):
         spread = best[1] + step * 0.01
         if spread < 0:
             continue
-        annotation = _build_annotation(spec, bodies, offsets, spread)
-        err = abs(achieved(annotation) - spec.target_crowd_index)
+        err = abs(achieved(spread) - spec.target_crowd_index)
         if err < best[0]:
             best = (err, spread)
 
-    annotation = _build_annotation(spec, bodies, offsets, best[1])
-    index = achieved(annotation)
+    index = achieved(best[1])
     return GeneratedScene(
-        annotation=annotation,
+        annotation=_build_annotation(spec, *layout(best[1])),
         achieved_crowd_index=index,
         on_target=abs(index - spec.target_crowd_index) <= 0.1,
     )

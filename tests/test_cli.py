@@ -201,6 +201,8 @@ _ANNOTATIONS = {"images": [{"id": 0, "width": 640, "height": 480}],
                 "annotations": []}
 _RESULTS = {"image_id": 0, "poses": []}
 _POSE = {"proposal_id": 0, "score": 1.0, "keypoints": [[None, 2, 3]] + [None] * 13}
+_PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
+           "keypoints": [1.0, 1.0, 2] * 14}
 
 
 @pytest.mark.parametrize(
@@ -222,14 +224,45 @@ _POSE = {"proposal_id": 0, "score": 1.0, "keypoints": [[None, 2, 3]] + [None] * 
         ("config", {"mu": True}, "'mu' must be a number, got a boolean"),
         ("config", {"sigma": [2]}, "'sigma' must be a number, got a list"),
         ("config", {"delta": 5}, "'delta' must be a list of numbers"),
+        # int() once truncated a non-integral id or count silently (1.5 -> 1)
+        ("candidates", {**_CANDIDATES, "image_id": 3.7},
+         "'image_id' must be an integer, got 3.7"),
+        ("candidates", {**_CANDIDATES, "proposals": [{**_PROPOSAL, "proposal_id": 1.5}]},
+         "'proposal_id' must be an integer"),
+        ("candidates", {**_CANDIDATES, "candidates": [{**_CANDIDATE, "joint_type": 2.9}]},
+         "'joint_type' must be an integer"),
+        ("candidates", {**_CANDIDATES, "provenance": [[0.5, 0]]},
+         "'person_id' must be an integer"),
+        ("candidates", {**_CANDIDATES, "provenance": [[0, 0.5]]},
+         "'joint_type' must be an integer"),
+        ("annotations", {**_ANNOTATIONS, "images": [{"id": 0.5, "width": 640, "height": 480}]},
+         "'id' must be an integer"),
+        ("annotations", {**_ANNOTATIONS, "images": [{"id": 0, "width": 640.5, "height": 480}]},
+         "'width' must be an integer"),
+        ("annotations", {**_ANNOTATIONS, "images": [{"id": 0, "width": 640, "height": 0.5}]},
+         "'height' must be an integer"),
+        ("annotations", {**_ANNOTATIONS, "annotations": [{**_PERSON, "person_id": 0.5}]},
+         "'person_id' must be an integer"),
+        ("annotations",
+         {**_ANNOTATIONS, "annotations": [{**_PERSON, "keypoints": [1.0, 1.0, 1.5] * 14}]},
+         "'v' must be an integer"),
+        ("results", {**_RESULTS, "image_id": 0.25}, "'image_id' must be an integer"),
+        ("results", {**_RESULTS, "poses": [{**_POSE, "proposal_id": 0.5,
+                                            "keypoints": [None] * 14}]},
+         "'proposal_id' must be an integer"),
     ],
     ids=["proposals-number", "provenance-number", "x-list", "image_id-null",
          "bbox-null", "images-number", "keypoint-null", "mu-string", "mu-boolean",
-         "sigma-list", "delta-number"],
+         "sigma-list", "delta-number", "image_id-fraction", "proposal_id-fraction",
+         "joint_type-fraction", "provenance-person_id-fraction",
+         "provenance-joint_type-fraction", "image-id-fraction", "width-fraction",
+         "height-fraction", "person_id-fraction", "visibility-fraction",
+         "results-image_id-fraction", "pose-proposal_id-fraction"],
 )
 def test_wrong_json_type_is_named_error(tmp_path, capsys, document, payload, named):
     # Each document once raised TypeError (or, for a boolean, was read as a
-    # number); a wrong type must end as a named error, exit 2.
+    # number, or for a fraction under an integer field, truncated); a wrong
+    # type must end as a named error, exit 2.
     docs = {"candidates": _CANDIDATES, "annotations": _ANNOTATIONS,
             "results": _RESULTS, "config": {}}
     docs[document] = payload

@@ -154,6 +154,18 @@ def test_candidates_rejects_malformed_provenance_entry():
         parse_candidates_payload(payload)
 
 
+def test_integral_floats_in_integer_fields_are_accepted():
+    proposals, candidates = sample_candidates()
+    payload = candidates_to_payload(3, proposals, candidates)
+    payload["image_id"] = 3.0
+    payload["proposals"][1]["proposal_id"] = 1.0
+    payload["candidates"][1]["joint_type"] = 5.0
+    payload["provenance"][0] = [0.0, 0.0]
+    image_id, p2, c2 = parse_candidates_payload(payload)
+    assert (image_id, p2, c2) == (3, proposals, candidates)
+    assert type(image_id) is int and type(c2[1].joint_type) is int
+
+
 def test_results_round_trip_identity():
     poses = sample_poses()
     image_id, parsed = parse_results_payload(results_to_payload(9, poses))

@@ -41,6 +41,11 @@ def test_render_rejects_bad_sigma_and_dims():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             render_gaussian([], sigma=sigma)
+    # 2 sigma^2 underflows to 0 (once ZeroDivisionError) or to a subnormal
+    # whose reciprocal is inf (once a NaN heatmap)
+    for sigma in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match="sigma"):
+            render_gaussian([(1.0, 1.0)], sigma=sigma)
     with pytest.raises(ValueError):
         render_gaussian([], sigma=2.0, width=0, height=10)
 

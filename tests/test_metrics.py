@@ -176,6 +176,84 @@ def test_crowd_index_undefined_without_own_joints():
         crowd_index(scene)
 
 
+def reference_crowd_index(scene):
+    """The documented definition as a plain loop: per person, foreign
+    labeled joints in its box over own labeled joints in its box (boundary
+    inclusive), averaged over persons with at least one own joint."""
+
+    def inside(bbox, point):
+        x, y, w, h = bbox
+        return x <= point[0] <= x + w and y <= point[1] <= y + h
+
+    ratios = []
+    for person in scene.persons:
+        own = sum(1 for _, loc in person.labeled_joints() if inside(person.bbox, loc))
+        if own == 0:
+            continue
+        foreign = 0
+        for other in scene.persons:
+            if other.person_id == person.person_id:
+                continue
+            foreign += sum(
+                1 for _, loc in other.labeled_joints() if inside(person.bbox, loc)
+            )
+        ratios.append(foreign / own)
+    if not ratios:
+        raise UndefinedMetricError(f"image {scene.image_id}: undefined")
+    return math.fsum(ratios) / len(ratios)
+
+
+@st.composite
+def crowd_scenes(draw):
+    """Scenes of 0-6 persons whose joints are unlabeled, random, or exactly
+    on some box's x, x + w, y or y + h, so boundary hits, persons without
+    own joints and empty scenes all occur."""
+    count = draw(st.integers(0, 6))
+    coord = st.floats(-50.0, 250.0)
+    size = st.floats(1e-6, 200.0)
+    boxes = [(draw(coord), draw(coord), draw(size), draw(size)) for _ in range(count)]
+    xs = st.sampled_from([v for x, _, w, _ in boxes for v in (x, x + w)] or [0.0])
+    ys = st.sampled_from([v for _, y, _, h in boxes for v in (y, y + h)] or [0.0])
+    slot = st.none() | st.tuples(st.tuples(xs | coord, ys | coord), st.sampled_from((1, 2)))
+    ids = draw(st.permutations(range(count)))
+    persons = tuple(
+        GroundTruthPerson(
+            person_id=pid,
+            keypoints=tuple(draw(slot) for _ in range(14)),
+            bbox=box,
+        )
+        for pid, box in zip(ids, boxes)
+    )
+    return SceneAnnotation(image_id=0, persons=persons)
+
+
+@given(crowd_scenes())
+@settings(max_examples=300, deadline=None)
+def test_crowd_index_equals_reference_loop_bitwise(scene):
+    try:
+        want = reference_crowd_index(scene)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            crowd_index(scene)
+        return
+    assert crowd_index(scene).hex() == want.hex()
+
+
+def test_crowd_index_counts_joints_on_every_box_edge():
+    # person 0's box is [10, 30] x [20, 60]; person 1 has one joint on each
+    # edge and one just outside, person 0 one joint on a corner
+    edges = [(0, (10.0, 40.0)), (1, (30.0, 40.0)), (2, (20.0, 20.0)),
+             (3, (20.0, 60.0)), (4, (30.000000000000004, 40.0))]
+    scene = SceneAnnotation(
+        image_id=0,
+        persons=(
+            gt_person([(0, (10.0, 20.0))], (10.0, 20.0, 20.0, 40.0), person_id=0),
+            gt_person(edges, (500.0, 500.0, 10.0, 10.0), person_id=1),
+        ),
+    )
+    assert crowd_index(scene) == reference_crowd_index(scene) == 4.0
+
+
 def test_crowding_level_bands_and_edges():
     assert crowding_level(0.0) is CrowdingLevel.EASY
     assert crowding_level(0.1) is CrowdingLevel.EASY

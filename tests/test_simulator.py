@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posegraph.formats import annotations_to_payload, candidates_to_payload, dump_json
 from posegraph.graph import PersonProposal, build_graph
 from posegraph.grouping import group_candidates
 from posegraph.joints import JOINT_COUNT, JointSpec
@@ -73,8 +75,20 @@ def test_high_target_yields_hard_scenes():
 
 
 def test_achieved_index_matches_metric_recomputation():
-    generated = generate_scene(SceneSpec(target_crowd_index=0.4, seed=11))
-    assert generated.achieved_crowd_index == crowd_index(generated.annotation)
+    # The search scores spreads on arrays; the index it reports must be the
+    # one metrics.crowd_index computes from the annotation it returns.
+    for persons, target, seeds in (
+        ((2, 6), 0.4, (11,)),
+        ((30, 30), 1.0, (0, 1, 2)),
+        ((30, 30), 0.3, (3, 4)),
+        ((2, 12), 0.0, (5, 6)),
+        ((1, 1), 0.0, (7,)),
+    ):
+        for seed in seeds:
+            spec = SceneSpec(person_min=persons[0], person_max=persons[1],
+                             target_crowd_index=target, seed=seed)
+            generated = generate_scene(spec)
+            assert generated.achieved_crowd_index == crowd_index(generated.annotation)
 
 
 def test_noiseless_proposals_are_extended_gt_boxes():
@@ -200,6 +214,46 @@ def test_simulation_is_bitwise_deterministic():
     assert a.candidates == b.candidates
     assert a.proposal_sources == b.proposal_sources
     assert a.achieved_crowd_index == b.achieved_crowd_index
+
+
+# SHA-256 over seeds 0-2 of each spec: the annotation's repr (full float
+# bits), the annotation and candidate files as written, the achieved crowd
+# index in hex and on_target. A change to the simulator that moves any bit
+# of a scene fails here, not only a change between two runs of one version.
+PINNED_SCENE_DIGESTS = {
+    "single": (
+        dict(person_min=1, person_max=1, target_crowd_index=0.0),
+        "df98be7dcd28c4cf66bf9d6f27357a0170277e47f03f2aae45d370b4635af80b",
+    ),
+    "medium": (
+        dict(person_min=2, person_max=6, target_crowd_index=0.5),
+        "3357c10112566a46d70540711ea84f45f61eea54ed8ea24237528abb0ede0c0b",
+    ),
+    "dense30": (
+        dict(person_min=30, person_max=30, target_crowd_index=1.0),
+        "d1657b2a45145cbe6aba2a892301b16b6143bb3d624a8a7a5a6f2b378bdc7e8e",
+    ),
+    "sparse": (
+        dict(person_min=2, person_max=12, target_crowd_index=0.0),
+        "f87987ee53011facc9e32acd717cc14db726eacdbe9383a3783ca432509ddbe6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENE_DIGESTS))
+def test_scene_bytes_match_pinned_digests(name):
+    kwargs, expected = PINNED_SCENE_DIGESTS[name]
+    digest = hashlib.sha256()
+    for seed in range(3):
+        scene = simulate_scene(SceneSpec(seed=seed, **kwargs))
+        digest.update(repr(scene.annotation).encode())
+        digest.update(dump_json(annotations_to_payload([scene.annotation])).encode())
+        digest.update(
+            dump_json(candidates_to_payload(seed, scene.proposals, scene.candidates)).encode()
+        )
+        digest.update(scene.achieved_crowd_index.hex().encode())
+        digest.update(str(scene.on_target).encode())
+    assert digest.hexdigest() == expected
 
 
 def test_different_seeds_differ():
