@@ -198,6 +198,8 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
         image_id, width, height = json_numbers(
             entry, ("id", "width", "height"), "image entry", ("id", "width", "height")
         )
+        if image_id in sizes:
+            raise FormatError(f"duplicate image id {image_id} in annotations")
         sizes[image_id] = (width, height)
         persons[image_id] = []
     for entry in rows:

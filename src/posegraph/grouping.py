@@ -4,12 +4,23 @@ Two candidates of the same joint type belong together when each lies inside
 the other's control domain, a disc whose radius is the smaller response size
 times the per-joint tolerance. That pairwise relation is not transitive, so
 nodes are the connected components of its closure.
+
+``same_group`` alone decides the relation. ``group_candidates`` calls it
+only on pairs that pass a numpy pre-filter: both coordinate gaps at most
+min(response sizes) * tolerance, the same float operations ``same_group``
+does. ``math.hypot`` is faithfully rounded, so it never returns less than
+the larger gap, and the pre-filter drops no related pair. The filter runs
+over row blocks of a fixed size, so its memory grows linearly with the
+candidate count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .joints import JOINT_COUNT, JointSpec
 
@@ -34,6 +45,9 @@ class CandidateJoint:
         x, y = self.location
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"location must be finite, got {self.location}")
+        # Integers beyond 2**53 would subtract exactly in same_group but
+        # rounded in the grouping pre-filter; floats make the two agree.
+        object.__setattr__(self, "location", (float(x), float(y)))
         if not 0 < self.response < math.inf:
             raise ValueError(f"response must be positive and finite, got {self.response}")
         if not 0 < self.response_size < math.inf:
@@ -79,6 +93,40 @@ def same_group(a: CandidateJoint, b: CandidateJoint, delta_k: float) -> bool:
         raise ValueError(f"delta_k must be positive and finite, got {delta_k}")
     dist = math.hypot(a.location[0] - b.location[0], a.location[1] - b.location[1])
     return dist <= min(a.response_size, b.response_size) * delta_k
+
+
+# Upper limit on the pair cells one pre-filter block holds (8 MB per float
+# array), so the filter's memory grows linearly with the candidate count.
+_BLOCK_CELLS = 1 << 20
+
+
+def _near_pairs(
+    members: list[CandidateJoint], delta_k: float
+) -> Iterator[tuple[int, int]]:
+    """Positions (a, b), a < b, of the pairs that ``same_group`` may relate.
+
+    Keeps a pair when |dx| and |dy| are both at most
+    min(response sizes) * delta_k, a superset of the relation. A gap or
+    bound that overflows to inf compares as ``same_group`` compares it.
+    """
+    n = len(members)
+    xy = np.array([m.location for m in members], dtype=np.float64)
+    size = np.array([m.response_size for m in members], dtype=np.float64)
+    rows = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n - 1, rows):
+        block = slice(start, min(start + rows, n - 1))
+        later = slice(start + 1, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.minimum(size[block, None], size[None, later])
+            bound *= delta_k
+            gap = np.subtract(xy[block, None, 0], xy[None, later, 0])
+            near = np.abs(gap, out=gap) <= bound
+            np.subtract(xy[block, None, 1], xy[None, later, 1], out=gap)
+            near &= np.abs(gap, out=gap) <= bound
+        # Local column c is position start + 1 + c, past row r when c >= r.
+        r, c = np.nonzero(near)
+        keep = c >= r
+        yield from zip((r[keep] + start).tolist(), (c[keep] + start + 1).tolist())
 
 
 class _UnionFind:
@@ -128,11 +176,11 @@ def group_candidates(
     for joint_type in sorted(by_type):
         indices = by_type[joint_type]
         delta_k = spec.delta[joint_type]
+        same_type = [candidates[i] for i in indices]
         uf = _UnionFind(len(indices))
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                if same_group(candidates[indices[a]], candidates[indices[b]], delta_k):
-                    uf.union(a, b)
+        for a, b in _near_pairs(same_type, delta_k):
+            if same_group(same_type[a], same_type[b], delta_k):
+                uf.union(a, b)
         components: dict[int, list[int]] = {}
         for local, idx in enumerate(indices):
             components.setdefault(uf.find(local), []).append(idx)

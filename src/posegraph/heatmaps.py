@@ -96,10 +96,13 @@ def render_gaussian(
     if centers:
         xs = np.arange(width, dtype=np.float64)
         ys = np.arange(height, dtype=np.float64)
-        for cx, cy in centers:
-            dx2 = (xs - cx) ** 2
-            dy2 = (ys - cy) ** 2
-            values += np.exp(-(dy2[:, None] + dx2[None, :]) * inv)
+        # A far centre or a tiny sigma overflows the exponent to -inf, and
+        # exp(-inf) = 0 is the right value, so overflow is no error here.
+        with np.errstate(over="ignore"):
+            for cx, cy in centers:
+                dx2 = (xs - cx) ** 2
+                dy2 = (ys - cy) ** 2
+                values += np.exp(-(dy2[:, None] + dx2[None, :]) * inv)
     return Heatmap(values)
 
 

@@ -332,6 +332,26 @@ def test_evaluate_unknown_image_is_integrity_error(tmp_path, capsys):
     assert "integrity error" in stderr
 
 
+def test_evaluate_duplicate_image_id_is_named_error(tmp_path, capsys):
+    # The second entry's size used to replace the first's, and evaluate
+    # exited 0.
+    annotations = {**_ANNOTATIONS, "images": [
+        {"id": 0, "width": 640, "height": 480},
+        {"id": 0, "width": 10, "height": 10},
+    ]}
+    (tmp_path / "in.annotations.json").write_text(json.dumps(annotations))
+    (tmp_path / "in.results.json").write_text(json.dumps(_RESULTS))
+    report = tmp_path / "report.json"
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(tmp_path / "in.results.json"),
+        "--annotations", str(tmp_path / "in.annotations.json"), "--out", str(report),
+    )
+    assert code == 2
+    assert stderr == "error: duplicate image id 0 in annotations\n"
+    assert "map_50_95" not in stdout
+    assert not report.exists()
+
+
 def test_evaluate_out_of_range_bbox_is_parse_error(tmp_path, capsys):
     # A width of 1e309 would overflow to inf; evaluate must refuse the file
     # rather than score it.

@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posegraph.grouping import (
@@ -27,6 +29,31 @@ def cand(x, y, response=0.5, joint_type=0, proposal=0, u=2.0):
 
 def uniform_spec(delta=1.0):
     return JointSpec(delta=(delta,) * 14)
+
+
+def reference_group_candidates(candidates, spec):
+    """Plain-Python grouping: same_group on every same-type pair.
+
+    Nodes are the connected components, ordered by joint type and then by
+    earliest member, with node ids counting up from 0.
+    """
+    nodes = []
+    for joint_type in sorted({c.joint_type for c in candidates}):
+        indices = [i for i, c in enumerate(candidates) if c.joint_type == joint_type]
+        label = {i: i for i in indices}
+        for pos, a in enumerate(indices):
+            for b in indices[pos + 1:]:
+                if same_group(candidates[a], candidates[b], spec.delta[joint_type]):
+                    old, new = max(label[a], label[b]), min(label[a], label[b])
+                    for i in indices:
+                        if label[i] == old:
+                            label[i] = new
+        for first in sorted(set(label.values())):
+            members = tuple(candidates[i] for i in indices if label[i] == first)
+            nodes.append(
+                JointNode(joint_type=joint_type, members=members, node_id=len(nodes))
+            )
+    return nodes
 
 
 def test_same_group_within_control_domain():
@@ -175,6 +202,82 @@ def test_group_partition_is_order_invariant(seed):
         frozenset(n.members) for n in group_candidates(shuffled, uniform_spec())
     }
     assert reference == again
+
+
+# Coordinates where a gap or a bound overflows to inf (1e308, 1.7e308),
+# underflows (5e-324, 1e-160) or lands exactly on a bound (small integers).
+_EXTREME = [1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 1e-160, -1e-160]
+_COORDS = st.one_of(
+    st.sampled_from(_EXTREME),
+    st.integers(-6, 6).map(float),
+    st.floats(-20, 20),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SIZES = st.one_of(
+    st.sampled_from([5e-324, 1e-160, 0.5, 1.0, 2.0, 2.5, 5.0, 1e300, 1e308]),
+    st.floats(0.1, 8),
+)
+_DELTAS = st.one_of(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e-300, 1e300, 1e308]),
+    st.floats(0.1, 3),
+)
+_CANDIDATES = st.lists(
+    st.builds(cand, x=_COORDS, y=_COORDS, joint_type=st.integers(0, 2), u=_SIZES,
+              proposal=st.integers(0, 3)),
+    max_size=12,
+)
+
+
+@given(_CANDIDATES, st.lists(_DELTAS, min_size=14, max_size=14))
+@example([], [1.0] * 14)
+@example([cand(0, 0, u=5.0)], [1.0] * 14)
+# 3-4-5 triangle, bound exactly 5
+@example([cand(0, 0, u=5.0), cand(3, 4, u=5.0)], [1.0] * 14)
+@example([cand(0, 0, u=2.5), cand(3, 4, u=2.5)], [2.0] * 14)
+# a gap exactly on the bound along one axis
+@example([cand(0, 0), cand(2, 0), cand(0, -2, joint_type=1), cand(0, 0, joint_type=1)],
+         [1.0] * 14)
+# bound overflows to inf: every pair relates, even across 3.4e308
+@example([cand(1.7e308, 0, u=1e300), cand(-1.7e308, 5e-324, u=1e308)], [1e308] * 14)
+@example([cand(1e308, 0), cand(-1e308, 0), cand(1e308, 0)], [1.0] * 14)
+@settings(max_examples=400, deadline=None)
+def test_group_equals_all_pairs_reference(candidates, deltas):
+    spec = JointSpec(delta=tuple(deltas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes = group_candidates(candidates, spec)
+    assert nodes == reference_group_candidates(candidates, spec)
+
+
+def test_integer_locations_group_as_floats():
+    # same_group once subtracted these integers exactly (gap 2, related),
+    # while the pre-filter saw the rounded floats (gap 4) and split them.
+    a, b = (
+        CandidateJoint(location=(2**53 + k, 0), response=0.5, joint_type=0,
+                       source_proposal=0, response_size=2.0)
+        for k in (3, 1)
+    )
+    assert a.location == (2.0**53 + 4, 0.0) and type(a.location[1]) is float
+    spec = uniform_spec(1.5)
+    assert not same_group(a, b, 1.5)
+    assert group_candidates([a, b], spec) == reference_group_candidates([a, b], spec)
+
+
+def test_group_memory_stays_linear():
+    # 4,000 pairs 1 px apart on a grid of 10 px spacing: each pair is one
+    # node. A full 8,000 x 8,000 float matrix would take 512 MB.
+    candidates = [
+        cand(10 * (i % 80) + dx, 10 * (i // 80)) for i in range(4000) for dx in (0, 1)
+    ]
+    tracemalloc.start()
+    try:
+        nodes = group_candidates(candidates, uniform_spec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 4000
+    assert all(len(n.members) == 2 for n in nodes)
+    assert peak < 32 * 2**20
 
 
 def test_joint_node_rejects_empty_or_mixed_members():

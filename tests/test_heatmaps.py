@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ def test_render_single_center_peak_and_falloff():
 def test_render_coincident_centers_sum():
     hm = render_gaussian([(10.0, 10.0), (10.0, 10.0)], sigma=2.0, width=32, height=32)
     assert hm.values[10, 10] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_render_overflow_to_zero_warns_nothing():
+    # Both calls once printed an overflow RuntimeWarning: the exponent
+    # overflows to -inf, and exp(-inf) = 0 is the right value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = render_gaussian([(3.0, 4.0)], sigma=1e-154, width=8, height=8)
+        far = render_gaussian([(1e200, 4.0), (2.0, 5.0)], sigma=2.0, width=8, height=8)
+    expected = np.zeros((8, 8))
+    expected[4, 3] = 1.0
+    assert np.array_equal(tiny.values, expected)
+    near = render_gaussian([(2.0, 5.0)], sigma=2.0, width=8, height=8)
+    assert np.array_equal(far.values, near.values)
 
 
 def test_render_rejects_bad_sigma_and_dims():
