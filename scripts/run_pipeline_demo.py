@@ -49,7 +49,6 @@ def main() -> int:
             "--annotations", str(scenes),
             "--out", str(workdir / f"report_{method}.json"),
         )
-    run("bench", "--sizes", "100,200,400")
     print(f"\nartifacts in {workdir}/")
     return 0
 

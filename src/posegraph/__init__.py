@@ -2,7 +2,7 @@
 
 The pipeline runs heatmap peak extraction -> candidate grouping ->
 person-joint graph construction -> globally optimal joint-to-person
-assignment, with greedy and box-suppression baselines, crowding metrics,
+assignment, with greedy and pose-suppression baselines, crowding metrics,
 a synthetic scene generator, and a CLI tying the stages together.
 """
 
@@ -35,7 +35,6 @@ from .metrics import (
     EvalReport,
     GroundTruthPerson,
     SceneAnnotation,
-    average_bbox_iou,
     bbox_iou,
     compute_oks,
     crowd_index,
@@ -53,7 +52,6 @@ from .solver import (
     Assignment,
     Matching,
     Pose,
-    bbox_nms_baseline,
     brute_force_oracle,
     build_poses,
     greedy_baseline,
@@ -91,9 +89,7 @@ __all__ = [
     "SyntheticScene",
     "UndefinedMetricError",
     "association_accuracy",
-    "average_bbox_iou",
     "bbox_iou",
-    "bbox_nms_baseline",
     "brute_force_oracle",
     "build_config",
     "build_graph",

@@ -1,19 +1,15 @@
-"""Command-line surface: synth, associate, evaluate, bench.
+"""Command-line surface: synth, associate, evaluate.
 
 Exit codes: 0 on success, 1 for internal or cross-reference failures, 2 for
 argument and parse problems (argparse uses 2 on its own). All output is
-deterministic for a fixed --seed; only bench timings depend on the clock.
+deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from .config import Config, build_config, load_config_file
 from .errors import FormatError, IntegrityError, UndefinedMetricError
@@ -28,8 +24,8 @@ from .formats import (
     results_to_payload,
     write_json_atomic,
 )
-from .graph import Edge, PersonJointGraph, PersonProposal, build_graph
-from .grouping import JointNode, CandidateJoint, group_candidates
+from .graph import PersonJointGraph, PersonProposal, build_graph
+from .grouping import CandidateJoint, group_candidates
 from .joints import JointSpec
 from .metrics import SceneAnnotation, evaluate
 from .simulator import SceneSpec, simulate_scene
@@ -182,60 +178,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def _bench_graph(size: int, rng: np.random.Generator) -> PersonJointGraph:
-    """Sparse single-type instance: ring pattern, degree 4 on both sides."""
-    proposals = [
-        PersonProposal(proposal_id=i, bbox=(0.0, 0.0, 1.0, 1.0)) for i in range(size)
-    ]
-    nodes = []
-    for j in range(size):
-        member = CandidateJoint(
-            location=(float(j), 0.0),
-            response=1.0,
-            joint_type=0,
-            source_proposal=0,
-            response_size=1.0,
-        )
-        nodes.append(JointNode(joint_type=0, members=(member,), node_id=j))
-    weights = {}
-    for i in range(size):
-        for offset in range(4):
-            weights[(i, (i + offset) % size)] = float(rng.uniform(0.1, 1.0))
-    edges = [
-        Edge(proposal=i, node=j, joint_type=0, weight=w)
-        for (i, j), w in sorted(weights.items())
-    ]
-    return PersonJointGraph(persons=proposals, nodes=nodes, edges=edges)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = args.sizes
-    repeats = args.repeats
-    rows = []
-    for size in sizes:
-        rng = np.random.default_rng((args.seed, size))
-        graph = _bench_graph(size, rng)
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            solve_graph(graph)
-            samples.append((time.perf_counter() - start) * 1000.0)
-        rows.append((size, statistics.median(samples)))
-    print(f"{'size':>6s} {'median_ms':>10s} {'ratio':>6s}")
-    for index, (size, ms) in enumerate(rows):
-        shown = "<1ms" if ms < 1.0 else f"{ms:.2f}"
-        if index == 0:
-            ratio = "-"
-        else:
-            ratio = f"{ms / rows[index - 1][1]:.2f}"
-        print(f"{size:>6d} {shown:>10s} {ratio:>6s}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -253,18 +195,11 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _size_list(text: str) -> list[int]:
-    sizes = [int(part) for part in text.split(",") if part]
-    if not sizes or any(size < 10 for size in sizes):
-        raise argparse.ArgumentTypeError("sizes must be a comma list of ints >= 10")
-    return sizes
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posegraph",
         description="Crowded-scene pose association: synthesize, associate, "
-        "evaluate, benchmark.",
+        "evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,12 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
     evaluate_.add_argument("--out", default=None, help="report JSON path")
     evaluate_.add_argument("--config", default=None)
     evaluate_.set_defaults(func=cmd_evaluate)
-
-    bench = sub.add_parser("bench", help="time the assignment solver")
-    bench.add_argument("--sizes", type=_size_list, default=[100, 200, 400])
-    bench.add_argument("--repeats", type=_positive_int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -19,8 +19,9 @@ from .grouping import JointNode
 class PersonProposal:
     """Detector output for one person instance.
 
-    ``detection_score`` is kept for box-level baselines only; edge weights in
-    the association graph come from heatmap responses alone.
+    ``detection_score`` round-trips through candidates files, and the
+    simulator uses it as the response strength of the proposal's own joints.
+    Edge weights in the association graph come from heatmap responses alone.
     """
 
     proposal_id: int

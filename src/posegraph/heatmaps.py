@@ -119,8 +119,6 @@ def compose_training_target(
     With mu = 0 the composite grid degenerates to the conventional
     single-person target.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
     target = render_gaussian(target_joints, sigma, width, height)
     interference = render_gaussian(interference_joints, sigma, width, height)
     return CompositeTarget(target=target, interference=interference, mu=mu)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -210,30 +210,6 @@ def crowding_level(index: float) -> CrowdingLevel:
     return CrowdingLevel.HARD
 
 
-def average_bbox_iou(scenes: Iterable[SceneAnnotation]) -> float:
-    """Mean pairwise box IoU, averaged per image and then over images.
-
-    Only images with at least two persons qualify.
-
-    Raises:
-        UndefinedMetricError: no image has two persons.
-    """
-    per_image = []
-    for scene in scenes:
-        boxes = [p.bbox for p in scene.persons]
-        if len(boxes) < 2:
-            continue
-        ious = [
-            bbox_iou(boxes[i], boxes[j])
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        ]
-        per_image.append(math.fsum(ious) / len(ious))
-    if not per_image:
-        raise UndefinedMetricError("no image with two or more persons")
-    return math.fsum(per_image) / len(per_image)
-
-
 def _ap_and_ar(
     records: list[tuple[float, int, int, bool]], n_gt: int
 ) -> tuple[float, float]:
@@ -242,9 +218,7 @@ def _ap_and_ar(
     ``records`` holds (score, image_id, proposal_id, is_tp); an empty gt set
     yields (0.0, 0.0) by convention.
     """
-    if n_gt == 0:
-        return 0.0, 0.0
-    if not records:
+    if n_gt == 0 or not records:
         return 0.0, 0.0
     records = sorted(records, key=lambda r: (-r[0], r[1], r[2]))
     tp = np.cumsum([r[3] for r in records])

@@ -37,7 +37,7 @@ from .errors import SizeLimitError
 from .graph import PersonJointGraph
 from .grouping import weighted_center
 from .joints import JOINT_COUNT, OKS_SIGMAS
-from .metrics import GroundTruthPerson, bbox_iou, compute_oks
+from .metrics import GroundTruthPerson, compute_oks
 
 INF = math.inf
 
@@ -367,34 +367,6 @@ def greedy_total_weight(graph: PersonJointGraph) -> float:
 def greedy_baseline(graph: PersonJointGraph) -> list[Pose]:
     """Poses built from the per-proposal greedy selection."""
     return _poses_from_triples(greedy_select(graph), graph)
-
-
-def bbox_nms_baseline(proposals, iou_threshold: float = 0.5):
-    """Greedy box suppression by detection score.
-
-    A proposal is dropped when its IoU with an already kept, higher-scored
-    proposal exceeds the threshold. In crowded scenes mutually overlapping
-    true positives often sit below typical thresholds (pairwise IoU around
-    0.3), which is why box NMS alone cannot untangle them.
-
-    Returns:
-        Surviving proposals in their input order.
-    """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
-    order = sorted(
-        range(len(proposals)),
-        key=lambda idx: (-proposals[idx].detection_score, proposals[idx].proposal_id),
-    )
-    kept_idx: list[int] = []
-    for idx in order:
-        if all(
-            bbox_iou(proposals[idx].bbox, proposals[kept].bbox) <= iou_threshold
-            for kept in kept_idx
-        ):
-            kept_idx.append(idx)
-    kept = set(kept_idx)
-    return [p for idx, p in enumerate(proposals) if idx in kept]
 
 
 def _pose_as_pseudo_gt(pose: Pose) -> GroundTruthPerson:

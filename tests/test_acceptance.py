@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from posegraph.cli import _bench_graph, main
+from posegraph.cli import main
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
 from posegraph.grouping import (
     CandidateJoint,
@@ -443,6 +443,32 @@ def test_criterion_08_crowd_index_reference_values():
         f"disjoint {disjoint_ok}, constructed pair {pair_ok}, band edges "
         f"{bands_ok}",
     )
+
+
+def _bench_graph(size: int, rng: np.random.Generator) -> PersonJointGraph:
+    """Sparse single-type instance: ring pattern, degree 4 on both sides."""
+    proposals = [
+        PersonProposal(proposal_id=i, bbox=(0.0, 0.0, 1.0, 1.0)) for i in range(size)
+    ]
+    nodes = []
+    for j in range(size):
+        member = CandidateJoint(
+            location=(float(j), 0.0),
+            response=1.0,
+            joint_type=0,
+            source_proposal=0,
+            response_size=1.0,
+        )
+        nodes.append(JointNode(joint_type=0, members=(member,), node_id=j))
+    weights = {}
+    for i in range(size):
+        for offset in range(4):
+            weights[(i, (i + offset) % size)] = float(rng.uniform(0.1, 1.0))
+    edges = [
+        Edge(proposal=i, node=j, joint_type=0, weight=w)
+        for (i, j), w in sorted(weights.items())
+    ]
+    return PersonJointGraph(persons=proposals, nodes=nodes, edges=edges)
 
 
 def test_criterion_09_solver_scales_quadratically():

@@ -380,33 +380,6 @@ def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     assert "error" in stderr
 
 
-def test_bench_single_size_has_no_ratio(capsys):
-    code, stdout, _ = run(capsys, "bench", "--sizes", "10", "--repeats", "1")
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[0].split() == ["size", "median_ms", "ratio"]
-    assert len(lines) == 2
-    row = lines[1].split()
-    assert row[0] == "10"
-    assert row[2] == "-"
-
-
-def test_bench_multiple_sizes_report_ratios(capsys):
-    code, stdout, _ = run(
-        capsys, "bench", "--sizes", "10,20", "--repeats", "1"
-    )
-    assert code == 0
-    lines = stdout.splitlines()
-    assert len(lines) == 3
-    assert lines[2].split()[2] != "-"
-
-
-def test_bench_rejects_tiny_sizes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--sizes", "5,100"])
-    assert exc.value.code == 2
-
-
 def test_cli_flag_overrides_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"mu": 0.9}')
@@ -461,7 +434,8 @@ def test_synth_rejects_non_finite_noise(tmp_path, capsys, noise):
     assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
 
 
-def test_missing_subcommand_is_usage_error(capsys):
+@pytest.mark.parametrize("argv", [[], ["bench"]], ids=["none", "bench"])
+def test_missing_subcommand_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([])
+        main(argv)
     assert exc.value.code == 2

@@ -14,7 +14,6 @@ from posegraph.metrics import (
     CrowdingLevel,
     GroundTruthPerson,
     SceneAnnotation,
-    average_bbox_iou,
     bbox_iou,
     compute_oks,
     crowd_index,
@@ -264,32 +263,6 @@ def test_crowding_level_bands_and_edges():
     assert crowding_level(2.5) is CrowdingLevel.HARD
     with pytest.raises(ValueError):
         crowding_level(-0.01)
-
-
-def two_person_scene(image_id, second_box):
-    return SceneAnnotation(
-        image_id=image_id,
-        persons=(
-            gt_person([(0, (5.0, 5.0))], (0, 0, 10, 10), person_id=0),
-            gt_person([(0, (second_box[0] + 5.0, 5.0))], second_box, person_id=1),
-        ),
-    )
-
-
-def test_average_bbox_iou_requires_a_pair():
-    lone = SceneAnnotation(
-        image_id=0, persons=(gt_person([(0, (5.0, 5.0))], (0, 0, 10, 10)),)
-    )
-    with pytest.raises(UndefinedMetricError):
-        average_bbox_iou([lone])
-
-
-def test_average_bbox_iou_extremes_and_mean():
-    identical = two_person_scene(0, (0.0, 0.0, 10.0, 10.0))
-    disjoint = two_person_scene(1, (100.0, 0.0, 10.0, 10.0))
-    assert average_bbox_iou([identical]) == 1.0
-    assert average_bbox_iou([disjoint]) == 0.0
-    assert average_bbox_iou([identical, disjoint]) == 0.5
 
 
 def _far_apart_scene(image_id=0):

@@ -17,7 +17,6 @@ from posegraph.solver import (
     Assignment,
     Matching,
     Pose,
-    bbox_nms_baseline,
     brute_force_oracle,
     build_poses,
     greedy_baseline,
@@ -323,37 +322,6 @@ def test_greedy_baseline_builds_same_shape_poses():
     poses = greedy_baseline(graph)
     assert [p.proposal_id for p in poses] == [0]
     assert poses[0].pose_score == pytest.approx(0.7)
-
-
-def box(x, score=1.0, pid=0):
-    return PersonProposal(proposal_id=pid, bbox=(x, 0.0, 10.0, 10.0),
-                          detection_score=score)
-
-
-def test_nms_drops_identical_boxes():
-    kept = bbox_nms_baseline([box(0.0, 0.9, 0), box(0.0, 0.8, 1)])
-    assert [p.proposal_id for p in kept] == [0]
-
-
-def test_nms_keeps_disjoint_boxes():
-    kept = bbox_nms_baseline([box(0.0, 0.9, 0), box(100.0, 0.8, 1)])
-    assert len(kept) == 2
-
-
-def test_nms_keeps_crowd_level_overlap():
-    # IoU 42.5 / 157.5 = 0.27, typical for true positives in a crowd; the
-    # default 0.5 threshold does not separate them
-    a, b = box(0.0, 0.9, 0), box(5.75, 0.8, 1)
-    kept = bbox_nms_baseline([a, b], iou_threshold=0.5)
-    assert len(kept) == 2
-    assert bbox_nms_baseline([a, b], iou_threshold=0.25) == [a]
-
-
-def test_nms_threshold_range():
-    with pytest.raises(ValueError):
-        bbox_nms_baseline([box(0.0)], iou_threshold=0.0)
-    with pytest.raises(ValueError):
-        bbox_nms_baseline([box(0.0)], iou_threshold=1.0)
 
 
 def _pose_at(x, y, pid, score):
