@@ -39,8 +39,63 @@ def _round6(value: float) -> float:
     return round(float(value), 6)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = math.inf
+
+
+def _emit_items(values, indent: str) -> list[str]:
+    # Numbers, the bulk of every payload, take the fast path; floats are
+    # checked here because read_json refuses NaN and infinities.
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is float:
+            if not -_INF < value < _INF:
+                raise ValueError(f"non-finite number {value!r} cannot be written")
+            texts.append(float.__repr__(value))
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        else:
+            texts.append(_emit(value, indent))
+    return texts
+
+
+def _emit(value: Any, indent: str) -> str:
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        texts = _emit_items(value.values(), inner)
+        lines = [f"{_encode_str(key)}: {text}" for key, text in zip(value, texts)]
+        return f"{{\n{inner}{sep.join(lines)}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        texts = _emit_items(value, inner)
+        return f"[\n{inner}{sep.join(texts)}\n{indent}]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_json(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The text ``json.dumps(payload, indent=2) + "\\n"`` gives, built by a
+    small emitter: json.dumps with an indent runs its pure-Python encoder.
+
+    Raises:
+        ValueError: a NaN or infinite float, which read_json would refuse.
+        TypeError: a key that is not a str, or a value that is not a dict,
+            list, str, int, float, bool or None (a tuple or a numpy scalar
+            included).
+    """
+    return _emit_items((payload,), "")[0] + "\n"
 
 
 # mkstemp creates files readable by the owner only; written files get the

@@ -164,10 +164,16 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     col_of_row = [-1] * n_rows
     row_of_col = [-1] * n_total
 
+    # The search state lives for the whole subproblem. Each search sets back
+    # only the columns it reached, so it costs those columns, not n_total.
+    # pred needs no reset: every column the augmentation walks was reached
+    # in that search. What still grows with size is the cost integers
+    # themselves: the tie-break payoff makes them n_rows * bits wide.
+    dist: list[float | int] = [INF] * n_total
+    pred = [-1] * n_total
+    done = [False] * n_total
+
     for r in range(n_rows):
-        dist: list[float | int] = [INF] * n_total
-        pred = [-1] * n_total
-        done = [False] * n_total
         heap: list[tuple[int, int]] = []
         for j, c in adj[r]:
             dist[j] = d = c - u[r] - v[j]
@@ -208,6 +214,16 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
             if i == r:
                 break
             j = next_j
+        # Every column given a distance was popped as done (scanned, or the
+        # target) or still has an entry on the heap: a stale entry is only
+        # skipped after a later, shorter entry for its column was pushed.
+        for j in scanned:
+            dist[j] = INF
+            done[j] = False
+        dist[target] = INF
+        done[target] = False
+        for _, j in heap:
+            dist[j] = INF
 
     pairs = []
     for r in range(n_rows):

@@ -273,3 +273,42 @@ def test_atomic_write_replaces_existing(tmp_path):
     target.write_text("old")
     write_json_atomic(target, [1, 2, 3])
     assert read_json(target) == [1, 2, 3]
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example([-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308])
+@example({"big": 10**40, "neg": -(10**40), "flags": [True, False, None]})
+@example({"kéy ☃": "café \U0001f600", "ctl": "\x00\x1f\t\n\"\\\x7f"})
+@example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]})
+@example([])
+@example({})
+@settings(max_examples=200, deadline=None)
+def test_dump_json_equals_json_dumps_indent_2(value):
+    assert dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dump_json_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite number"):
+        dump_json({"poses": [[1.0, value]]})
+
+
+@pytest.mark.parametrize("value", [object(), (1.0, 2.0), {1: "key"}, {"a": {1, 2}}])
+def test_dump_json_rejects_values_json_has_no_form_for(value):
+    with pytest.raises(TypeError):
+        dump_json({"payload": value})

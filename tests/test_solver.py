@@ -216,6 +216,56 @@ def test_selected_set_is_scale_invariant(seed, scale):
     assert solve_subgraph(weights).pairs == solve_subgraph(scaled).pairs
 
 
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_oracle_on_tie_heavy_instances(n_rows, n_cols, density, seed):
+    # Four weight levels make exact ties common, so consecutive searches
+    # revisit the same columns with equal path lengths: a distance or done
+    # flag left over from an earlier search changes the answer.
+    rng = random.Random(seed)
+    weights = {
+        (i, j): rng.choice((0.25, 0.5, 0.75, 1.0))
+        for i in range(n_rows)
+        for j in range(n_cols)
+        if rng.random() < density
+    }
+    fast = solve_subgraph(weights)
+    slow = brute_force_oracle(weights)
+    assert fast.pairs == slow.pairs, weights
+    assert fast.total_weight == slow.total_weight
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_diagonal_instance_equals_oracle_per_block(seed):
+    # 10-20 independent blocks of at most 8x8 with interleaved ids, so one
+    # solve runs many searches over shared state, far past the oracle's
+    # limit; the optimum is the union of the per-block optima.
+    rng = random.Random(seed)
+    n_blocks = rng.randint(10, 20)
+    weights = {}
+    blocks = []
+    for b in range(n_blocks):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.uniform(0.2, 0.7)
+        block = {
+            (b + n_blocks * i, b + n_blocks * j): rng.choice((0.25, 0.5, 0.75, 1.0))
+            for i in range(n_rows)
+            for j in range(n_cols)
+            if rng.random() < density
+        }
+        blocks.append(block)
+        weights.update(block)
+    expected = sorted(pair for block in blocks for pair in brute_force_oracle(block).pairs)
+    matching = solve_subgraph(weights)
+    assert matching.pairs == tuple(expected)
+    assert matching.total_weight == math.fsum(weights[p] for p in expected)
+
+
 def test_graph_solution_combines_joint_types():
     graph = make_graph(
         [(0, 0, 0.9), (0, 1, 0.6), (1, 0, 0.8), (0, 2, 0.7)],
