@@ -16,15 +16,37 @@ Among optima of equal exact weight the solver returns the lexicographically
 smallest selected pair set, and it decides both without float rounding. Each
 weight becomes an exact integer: every float is an integer over a power of
 two, so scaling by the largest such denominator among a subproblem's weights
-loses nothing. Each edge then gets one integer cost, that exact weight shifted
-above a tie-break payoff. Row r's k-th edge (rows and columns ascending, R
-rows) pays (d_r - k) * B^(R - 1 - r), where d_r is the row's degree and B is a
+loses nothing. Reduced costs, potentials and path lengths are then plain
+Python integers, so a reduced cost that is zero is exactly zero.
+
+A solve takes two passes of one search routine. The first runs on the exact
+weights alone (cost -exact). Its potentials u, v prove the matching optimal,
+and they describe all optima: a matching is optimal exactly when it uses
+only tight edges (reduced cost zero) and covers every column with v < 0.
+Another optimum differs from the first by tight alternating cycles, and by tight alternating
+paths from a covered column with v == 0 to a free column. Draw an arc from
+each row's column to each of its other tight columns, and join every free
+column through one hub node to every covered column with v == 0: those
+cycles and paths are then the directed cycles, so the edges that appear in
+some other optimum are the arcs inside a strongly connected component. With
+none, as with random weights, the first matching is the unique optimum.
+
+Otherwise the tie-break runs only where another optimum exists. Each
+component formed by the matched edges and those ambiguous edges is solved
+again, with one integer cost per edge: the exact weight shifted above a
+tie-break payoff. Row r's k-th edge (rows and columns ascending, R rows)
+pays (d_r - k) * B^(R - 1 - r), where d_r is the row's degree and B is a
 power of two above every degree. Matching a row at all, or to an earlier
 column, outweighs every payoff of the later rows together, which is exactly
 the lexicographic order on sorted pair tuples; the shift puts one unit of
-weight above all payoffs together. Reduced costs, potentials and path lengths
-are then plain Python integers, so a reduced cost that is zero is exactly
-zero.
+weight above all payoffs together. The refinement is exact. A re-solve sees
+its rows' matched, ambiguous and slack edges, while every other row keeps
+its first-pass column, so each matching it can return completes to a
+matching of the whole subproblem. Its best exact weight is therefore the
+optimum's, and the matchings that reach it are exactly the parts of optima
+that lie in the component; an optimum is any choice of one such part per
+component with the first matching elsewhere. Both the payoff and the
+lexicographic order separate over independent components.
 """
 
 from __future__ import annotations
@@ -111,64 +133,35 @@ def _exact_entries(weights: dict[tuple[int, int], float]) -> list[tuple[int, int
     return [(i, j, n * (unit // d)) for i, j, n, d in entries]
 
 
-def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
-    """Maximum-weight bipartite matching on a sparse weight map.
+def _assign(
+    adj: list[list[tuple[int, int]]], n_total: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Minimum-cost assignment of every row to one of columns 0..n_total-1.
 
-    Args:
-        weights: (row, column) -> weight. Rows and columns may be any
-            integers; absent pairs are unmatchable. Zero-weight entries are
-            dropped, since matching them can never help the total.
+    ``adj[r]`` lists row r's edges as (column, integer cost), ending with
+    the row's private slack column.
 
     Returns:
-        Matching with pairs sorted ascending and total_weight the correctly
-        rounded sum (math.fsum) of selected weights. Rows and columns may
-        stay unmatched; among optima of equal exact weight the
-        lexicographically smallest pair set is returned.
-
-    Raises:
-        ValueError: any negative or non-finite weight.
+        (col_of_row, row_of_col, u, v), with -1 for a free column. Every edge
+        has reduced cost ``cost - u[r] - v[j] >= 0``, every matched edge has
+        reduced cost 0, and ``v[j] <= 0``, below zero only on matched
+        columns.
     """
-    entries = _exact_entries(weights)
-    if not entries:
-        return Matching(pairs=(), total_weight=0.0)
-
-    rows = sorted({i for i, _, _ in entries})
-    cols = sorted({j for _, j, _ in entries})
-    row_index = {r: idx for idx, r in enumerate(rows)}
-    col_index = {c: idx for idx, c in enumerate(cols)}
-    n_rows, n_cols = len(rows), len(cols)
-    n_total = n_cols + n_rows  # real columns, then one private slack per row
-
-    # One integer cost per edge: the negated exact weight, shifted above the
-    # tie-break payoff (degree - k) * B^(n_rows - 1 - r) of row r's k-th
-    # edge, with B = 2^bits above every row degree. The slack edge closes
-    # each row at cost zero.
-    degree = [0] * n_rows
-    for i, _, _ in entries:
-        degree[row_index[i]] += 1
-    bits = max(degree).bit_length()
-    shift = bits * n_rows
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
-    for i, j, exact in entries:
-        r = row_index[i]
-        payoff = (degree[r] - len(adj[r])) << (bits * (n_rows - 1 - r))
-        adj[r].append((col_index[j], -((exact << shift) + payoff)))
-    for r in range(n_rows):
-        adj[r].append((n_cols + r, 0))
-
+    n_rows = len(adj)
     # Row potentials start at the row minimum so reduced costs are
     # non-negative; column potentials start at zero.
-    u = [min(c for _, c in adj[r]) for r in range(n_rows)]
+    u = [min(c for _, c in edges) for edges in adj]
     v = [0] * n_total
 
     col_of_row = [-1] * n_rows
     row_of_col = [-1] * n_total
 
-    # The search state lives for the whole subproblem. Each search sets back
-    # only the columns it reached, so it costs those columns, not n_total.
+    # The search state lives for the whole call. Each search sets back only
+    # the columns it reached, so it costs those columns, not n_total.
     # pred needs no reset: every column the augmentation walks was reached
-    # in that search. What still grows with size is the cost integers
-    # themselves: the tie-break payoff makes them n_rows * bits wide.
+    # in that search. The costs are exact integers; the exact-weight pass
+    # keeps them as wide as the weights, and only a refined component pays
+    # for the tie-break payoff, R * bits wider for its R rows.
     dist: list[float | int] = [INF] * n_total
     pred = [-1] * n_total
     done = [False] * n_total
@@ -225,12 +218,202 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
         for _, j in heap:
             dist[j] = INF
 
-    pairs = []
+    return col_of_row, row_of_col, u, v
+
+
+def _cycle_arcs(
+    arcs: list[tuple[int, int, int]], row_of_col: list[int], v: list[int]
+) -> list[tuple[int, int, int]]:
+    """The arcs (from_column, to_column, row) that lie on a directed cycle
+    once one hub node joins every free column to every covered column with
+    ``v == 0``. Dead ends are trimmed before the strongly connected
+    components are found."""
+    hub = -1
+    succ: dict[int, list[int]] = {}
+    for c, j, _ in arcs:
+        succ.setdefault(c, []).append(j)
+    # Most calls end here: no arc leads on to another arc or to a free column.
+    if not any(j in succ or row_of_col[j] == -1 for _, j, _ in arcs):
+        return []
+    pred: dict[int, list[int]] = {}
+    for c, j, _ in arcs:
+        pred.setdefault(j, []).append(c)
+    # Arcs start at covered columns only, so a free column can only end one.
+    sources = [c for c in succ if v[c] == 0]
+    sinks = [j for j in pred if row_of_col[j] == -1]
+    if sources and sinks:
+        succ[hub] = sources
+        pred[hub] = sinks
+        for c in sources:
+            pred.setdefault(c, []).append(hub)
+        for j in sinks:
+            succ[j] = [hub]
+
+    # Trim dead ends: a node whose every successor is a dead end is one too.
+    # The nodes left keep a positive out-degree.
+    outdeg = {n: len(ms) for n, ms in succ.items()}
+    queue = [m for m in pred if m not in succ]
+    while queue:
+        for n in pred.get(queue.pop(), ()):
+            outdeg[n] -= 1
+            if not outdeg[n]:
+                queue.append(n)
+    live = [n for n, d in outdeg.items() if d]
+    if not live:
+        return []
+
+    # Iterative Tarjan over the nodes left. A node indexed but not yet given
+    # a component is on the stack.
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in live:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, it = work[-1]
+            for m in it:
+                if not outdeg.get(m):
+                    continue
+                if m not in index:
+                    index[m] = low[m] = len(index)
+                    stack.append(m)
+                    work.append((m, iter(succ[m])))
+                    break
+                if m not in comp and index[m] < low[node]:
+                    low[node] = index[m]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    while True:
+                        m = stack.pop()
+                        comp[m] = node
+                        if m == node:
+                            break
+    return [a for a in arcs if a[0] in comp and comp[a[0]] == comp.get(a[1])]
+
+
+def _refine(
+    ambiguous: list[tuple[int, int, int]],
+    col_of_row: list[int],
+    u: list[int],
+    v: list[int],
+    n_cols: int,
+) -> None:
+    """Re-solve, with the tie-break payoff, each component that the matched
+    edges and the ambiguous arcs form, and write its rows' new columns into
+    ``col_of_row``. Row r's slack column is ``n_cols + r``."""
+    # A row is joined to its matched column, so components of columns
+    # suffice: each ambiguous arc joins its two columns.
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for c, j, _ in ambiguous:
+        a, b = find(c), find(j)
+        if a != b:
+            parent[a] = b
+    groups: dict[int, dict[int, list[int]]] = {}
+    for c, j, r in ambiguous:
+        groups.setdefault(find(c), {}).setdefault(r, [c]).append(j)
+
+    for extra in groups.values():
+        rows = sorted(extra)
+        real = {r: sorted(j for j in extra[r] if j < n_cols) for r in rows}
+        cols = sorted({j for js in real.values() for j in js})
+        local = {j: idx for idx, j in enumerate(cols)}
+        n_rows = len(rows)
+        bits = max(len(js) for js in real.values()).bit_length()
+        shift = bits * n_rows
+        adj: list[list[tuple[int, int]]] = []
+        for idx, r in enumerate(rows):
+            degree = len(real[r])
+            edges = []
+            for k, j in enumerate(real[r]):
+                # Matched and ambiguous edges are tight: cost -exact is u + v.
+                exact = -(u[r] + v[j])
+                payoff = (degree - k) << (bits * (n_rows - 1 - idx))
+                edges.append((local[j], -((exact << shift) + payoff)))
+            edges.append((len(cols) + idx, 0))
+            adj.append(edges)
+        sub_col, _, _, _ = _assign(adj, len(cols) + n_rows)
+        for idx, r in enumerate(rows):
+            j = sub_col[idx]
+            col_of_row[r] = cols[j] if j < len(cols) else n_cols + r
+
+
+def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
+    """Maximum-weight bipartite matching on a sparse weight map.
+
+    Args:
+        weights: (row, column) -> weight. Rows and columns may be any
+            integers; absent pairs are unmatchable. Zero-weight entries are
+            dropped, since matching them can never help the total.
+
+    Returns:
+        Matching with pairs sorted ascending and total_weight the correctly
+        rounded sum (math.fsum) of selected weights. Rows and columns may
+        stay unmatched; among optima of equal exact weight the
+        lexicographically smallest pair set is returned.
+
+    Raises:
+        ValueError: any negative or non-finite weight.
+    """
+    entries = _exact_entries(weights)
+    if not entries:
+        return Matching(pairs=(), total_weight=0.0)
+
+    cols = sorted({j for _, j, _ in entries})
+    col_index = {c: idx for idx, c in enumerate(cols)}
+    n_cols = len(cols)
+
+    # Exact-weight pass: each edge costs its negated exact weight, and row
+    # r's private slack column n_cols + r closes it at cost zero. Entries
+    # come sorted by row, so each new row id starts the next row.
+    rows: list[int] = []
+    adj: list[list[tuple[int, int]]] = []
+    for i, j, exact in entries:
+        if not rows or rows[-1] != i:
+            rows.append(i)
+            adj.append([])
+        adj[-1].append((col_index[j], -exact))
+    n_rows = len(rows)
     for r in range(n_rows):
-        j = col_of_row[r]
-        if 0 <= j < n_cols:
-            pairs.append((rows[r], cols[j]))
-    pairs.sort()
+        adj[r].append((n_cols + r, 0))
+    col_of_row, row_of_col, u, v = _assign(adj, n_cols + n_rows)
+
+    # Each unmatched tight edge (r, j) is an arc from r's column to j.
+    pairs = []
+    arcs = []
+    for r, edges in enumerate(adj):
+        c = col_of_row[r]
+        if c < n_cols:
+            pairs.append((rows[r], cols[c]))
+        ur = u[r]
+        for j, cost in edges:
+            if cost - ur == v[j] and j != c:
+                arcs.append((c, j, r))
+    if arcs:
+        ambiguous = _cycle_arcs(arcs, row_of_col, v)
+        if ambiguous:
+            _refine(ambiguous, col_of_row, u, v, n_cols)
+            pairs = [
+                (rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols
+            ]
     total = math.fsum(weights[p] for p in pairs)
     return Matching(pairs=tuple(pairs), total_weight=total)
 

@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from heapq import heappop, heappush
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posegraph
@@ -14,9 +16,12 @@ from posegraph.errors import SizeLimitError
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
 from posegraph.grouping import CandidateJoint, JointNode
 from posegraph.solver import (
+    INF,
     Assignment,
     Matching,
     Pose,
+    _assign,
+    _exact_entries,
     brute_force_oracle,
     build_poses,
     greedy_baseline,
@@ -28,6 +33,118 @@ from posegraph.solver import (
 )
 
 TWO_BY_TWO = {(0, 0): 0.9, (0, 1): 0.6, (1, 0): 0.8}
+
+
+def reference_solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
+    """The single-pass solver, kept unchanged as the reference for
+    ``solve_subgraph``: every edge cost is the exact weight shifted above the
+    tie-break payoff, so one search decides weight and tie-break together.
+    Same contract as ``solve_subgraph``."""
+    entries = _exact_entries(weights)
+    if not entries:
+        return Matching(pairs=(), total_weight=0.0)
+
+    rows = sorted({i for i, _, _ in entries})
+    cols = sorted({j for _, j, _ in entries})
+    row_index = {r: idx for idx, r in enumerate(rows)}
+    col_index = {c: idx for idx, c in enumerate(cols)}
+    n_rows, n_cols = len(rows), len(cols)
+    n_total = n_cols + n_rows  # real columns, then one private slack per row
+
+    # One integer cost per edge: the negated exact weight, shifted above the
+    # tie-break payoff (degree - k) * B^(n_rows - 1 - r) of row r's k-th
+    # edge, with B = 2^bits above every row degree. The slack edge closes
+    # each row at cost zero.
+    degree = [0] * n_rows
+    for i, _, _ in entries:
+        degree[row_index[i]] += 1
+    bits = max(degree).bit_length()
+    shift = bits * n_rows
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+    for i, j, exact in entries:
+        r = row_index[i]
+        payoff = (degree[r] - len(adj[r])) << (bits * (n_rows - 1 - r))
+        adj[r].append((col_index[j], -((exact << shift) + payoff)))
+    for r in range(n_rows):
+        adj[r].append((n_cols + r, 0))
+
+    # Row potentials start at the row minimum so reduced costs are
+    # non-negative; column potentials start at zero.
+    u = [min(c for _, c in adj[r]) for r in range(n_rows)]
+    v = [0] * n_total
+
+    col_of_row = [-1] * n_rows
+    row_of_col = [-1] * n_total
+
+    # The search state lives for the whole subproblem. Each search sets back
+    # only the columns it reached, so it costs those columns, not n_total.
+    # pred needs no reset: every column the augmentation walks was reached
+    # in that search. What still grows with size is the cost integers
+    # themselves: the tie-break payoff makes them n_rows * bits wide.
+    dist: list[float | int] = [INF] * n_total
+    pred = [-1] * n_total
+    done = [False] * n_total
+
+    for r in range(n_rows):
+        heap: list[tuple[int, int]] = []
+        for j, c in adj[r]:
+            dist[j] = d = c - u[r] - v[j]
+            pred[j] = r
+            heappush(heap, (d, j))
+        scanned = []
+        target = -1
+        while heap:
+            d, j = heappop(heap)
+            if done[j] or d > dist[j]:
+                continue
+            done[j] = True
+            if row_of_col[j] == -1:
+                target = j
+                break
+            scanned.append(j)
+            i2 = row_of_col[j]
+            for j2, c in adj[i2]:
+                if done[j2]:
+                    continue
+                nd = d + c - u[i2] - v[j2]
+                if nd < dist[j2]:
+                    dist[j2] = nd
+                    pred[j2] = i2
+                    heappush(heap, (nd, j2))
+        # The private slack column is always reachable, so a target exists.
+        delta = dist[target]
+        for j in scanned:
+            v[j] += dist[j] - delta
+            u[row_of_col[j]] += delta - dist[j]
+        u[r] += delta
+        j = target
+        while True:
+            i = pred[j]
+            next_j = col_of_row[i]
+            row_of_col[j] = i
+            col_of_row[i] = j
+            if i == r:
+                break
+            j = next_j
+        # Every column given a distance was popped as done (scanned, or the
+        # target) or still has an entry on the heap: a stale entry is only
+        # skipped after a later, shorter entry for its column was pushed.
+        for j in scanned:
+            dist[j] = INF
+            done[j] = False
+        dist[target] = INF
+        done[target] = False
+        for _, j in heap:
+            dist[j] = INF
+
+    pairs = []
+    for r in range(n_rows):
+        j = col_of_row[r]
+        if 0 <= j < n_cols:
+            pairs.append((rows[r], cols[j]))
+    pairs.sort()
+    total = math.fsum(weights[p] for p in pairs)
+    return Matching(pairs=tuple(pairs), total_weight=total)
 
 
 def make_graph(edge_triples, n_proposals, node_types):
@@ -240,20 +357,23 @@ def test_solver_matches_oracle_on_tie_heavy_instances(n_rows, n_cols, density, s
     assert fast.total_weight == slow.total_weight
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_block_diagonal_instance_equals_oracle_per_block(seed):
+def _check_blocks_against_oracle(seed, equal_weights):
     # 10-20 independent blocks of at most 8x8 with interleaved ids, so one
     # solve runs many searches over shared state, far past the oracle's
     # limit; the optimum is the union of the per-block optima.
     rng = random.Random(seed)
+    levels = (0.25, 0.5, 0.75, 1.0)
     n_blocks = rng.randint(10, 20)
     weights = {}
     blocks = []
     for b in range(n_blocks):
         n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
         density = rng.uniform(0.2, 0.7)
+        same = rng.choice(levels) if equal_weights else None
         block = {
-            (b + n_blocks * i, b + n_blocks * j): rng.choice((0.25, 0.5, 0.75, 1.0))
+            (b + n_blocks * i, b + n_blocks * j): (
+                same if equal_weights else rng.choice(levels)
+            )
             for i in range(n_rows)
             for j in range(n_cols)
             if rng.random() < density
@@ -264,6 +384,133 @@ def test_block_diagonal_instance_equals_oracle_per_block(seed):
     matching = solve_subgraph(weights)
     assert matching.pairs == tuple(expected)
     assert matching.total_weight == math.fsum(weights[p] for p in expected)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_diagonal_instance_equals_oracle_per_block(seed):
+    _check_blocks_against_oracle(seed, equal_weights=False)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_equal_weight_blocks_equal_oracle_per_block(seed):
+    # With one weight per block nearly every matching of maximum size is an
+    # optimum, so the tie-break alone picks each block's pairs.
+    _check_blocks_against_oracle(seed, equal_weights=True)
+
+
+WEIGHT_DRAWS = {
+    "levels": lambda rng: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)),
+    "six_decimals": lambda rng: round(rng.random(), 6),
+    "extremes": lambda rng: rng.choice((5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e300)),
+}
+
+
+def _random_weights(n_rows, n_cols, density, draw, seed):
+    rng = random.Random(seed)
+    return {
+        (i, j): WEIGHT_DRAWS[draw](rng)
+        for i in range(n_rows)
+        for j in range(n_cols)
+        if rng.random() < density
+    }
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.floats(0.05, 1.0),
+    st.sampled_from(sorted(WEIGHT_DRAWS)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_solver_equals_single_pass_reference(n_rows, n_cols, density, draw, seed):
+    # Tie-heavy levels leave many optima for the refinement to decide;
+    # 5e-324 next to 1e300 makes exact weights thousands of bits wide.
+    weights = _random_weights(n_rows, n_cols, density, draw, seed)
+    fast = solve_subgraph(weights)
+    slow = reference_solve_subgraph(weights)
+    assert fast.pairs == slow.pairs, weights
+    assert fast.total_weight == slow.total_weight
+
+
+def _ring_weights(size, rng):
+    # perfbench's solver-ring recipe, as in test_acceptance._bench_graph:
+    # row i joins columns i..i+3 (mod size).
+    return {
+        (i, (i + offset) % size): float(rng.uniform(0.1, 1.0))
+        for i in range(size)
+        for offset in range(4)
+    }
+
+
+def test_tie_heavy_ring_equals_single_pass_reference(monkeypatch):
+    # Two weight levels leave optima that differ along long stretches of the
+    # ring, so the refinement re-solves large components.
+    rng = np.random.default_rng((0, 400))
+    weights = {
+        pair: 0.25 if w < 0.375 else 0.5 for pair, w in _ring_weights(400, rng).items()
+    }
+    sizes = []
+
+    def recording_assign(adj, n_total):
+        sizes.append(len(adj))
+        return _assign(adj, n_total)
+
+    monkeypatch.setattr(posegraph.solver, "_assign", recording_assign)
+    fast = solve_subgraph(weights)
+    monkeypatch.undo()
+    assert max(sizes[1:], default=0) >= 20
+    slow = reference_solve_subgraph(weights)
+    assert fast.pairs == slow.pairs
+    assert fast.total_weight == slow.total_weight
+
+
+def test_all_equal_ring_returns_identity():
+    weights = {(i, (i + offset) % 300): 0.5 for i in range(300) for offset in range(4)}
+    matching = solve_subgraph(weights)
+    assert matching.pairs == tuple((i, i) for i in range(300))
+    assert matching.total_weight == 150.0
+
+
+@given(
+    st.integers(9, 40),
+    st.integers(9, 40),
+    st.floats(0.05, 1.0),
+    st.sampled_from(sorted(WEIGHT_DRAWS)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_exact_pass_potentials_certify_optimality(n_rows, n_cols, density, draw, seed):
+    # The exact-weight pass as solve_subgraph runs it: cost -exact, and row
+    # r's private slack column n_cols + r at cost zero.
+    weights = _random_weights(n_rows, n_cols, density, draw, seed)
+    entries = _exact_entries(weights)
+    assume(entries)
+    rows = sorted({i for i, _, _ in entries})
+    cols = sorted({j for _, j, _ in entries})
+    adj = [[] for _ in rows]
+    for i, j, exact in entries:
+        adj[rows.index(i)].append((cols.index(j), -exact))
+    for r, edges in enumerate(adj):
+        edges.append((len(cols) + r, 0))
+    col_of_row, row_of_col, u, v = _assign(adj, len(cols) + len(rows))
+
+    covered = set(col_of_row)
+    assert len(covered) == len(rows)
+    assert all(row_of_col[c] == r for r, c in enumerate(col_of_row))
+    for r, edges in enumerate(adj):
+        for j, cost in edges:
+            assert cost - u[r] - v[j] >= 0
+        assert dict(edges)[col_of_row[r]] - u[r] - v[col_of_row[r]] == 0
+    # v <= 0, and v == 0 off the matching: with the two checks above this
+    # bounds every matching's cost below by sum(u) + sum(v), which the
+    # matching attains, so it is optimal.
+    assert all(x <= 0 for x in v)
+    assert all(v[j] == 0 for j in range(len(v)) if j not in covered)
+    matched_cost = sum(dict(adj[r])[c] for r, c in enumerate(col_of_row))
+    assert sum(u) + sum(v[j] for j in covered) == matched_cost
+    exact_of = {(i, j): n for i, j, n in entries}
+    assert -matched_cost == sum(exact_of[p] for p in solve_subgraph(weights).pairs)
 
 
 def test_graph_solution_combines_joint_types():
