@@ -252,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, ValueError, OverflowError) as exc:
+    except (FileNotFoundError, FormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

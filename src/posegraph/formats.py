@@ -135,10 +135,14 @@ def _finite_float(token: str) -> float:
 
 def read_json(path: str | Path) -> Any:
     """Parse a JSON file; the NaN, Infinity and -Infinity tokens that
-    Python's json module accepts, and literals such as 1e309 that overflow
-    a float, raise FormatError instead."""
+    Python's json module accepts, literals such as 1e309 that overflow a
+    float, and nesting deeper than the interpreter's recursion limit raise
+    FormatError instead."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        try:
+            return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _require(payload: Any, key: str, where: str) -> Any:

@@ -42,8 +42,9 @@ class GroundTruthPerson:
 
     def __post_init__(self):
         x, y, w, h = self.bbox
-        if not (math.isfinite(x) and math.isfinite(y) and 0 < w < math.inf
-                and 0 < h < math.inf):
+        # Positive w and h with a finite, non-zero product are both finite.
+        if not (math.isfinite(x) and math.isfinite(y) and w > 0 and h > 0
+                and 0 < w * h < math.inf):
             raise ValueError(f"bbox must be finite with positive area, got {self.bbox}")
         for slot in self.keypoints:
             if slot is not None:
@@ -121,7 +122,9 @@ def compute_oks(
     Each labeled ground-truth joint contributes exp(-d^2 / (2 s^2 kappa^2))
     where d is the prediction displacement, s^2 the ground-truth box area and
     kappa twice the per-joint falloff constant; unpredicted joints contribute
-    0. The mean over labeled joints is returned.
+    0. A squared displacement past the float range contributes 0, and where
+    2 s^2 kappa^2 underflows to 0 the term takes its limit: 1 on an exact
+    hit, 0 otherwise. The mean over labeled joints is returned.
 
     Raises:
         UndefinedMetricError: the annotation has no labeled joints.
@@ -141,9 +144,13 @@ def compute_oks(
             terms.append(0.0)
             continue
         (px, py), _score = slot
-        d2 = (px - loc[0]) ** 2 + (py - loc[1]) ** 2
+        try:
+            d2 = (px - loc[0]) ** 2 + (py - loc[1]) ** 2
+        except OverflowError:
+            d2 = math.inf
         kappa = 2.0 * sigmas[k]
-        terms.append(math.exp(-d2 / (2.0 * s2 * kappa * kappa)))
+        scale = 2.0 * s2 * kappa * kappa
+        terms.append(math.exp(-d2 / scale) if scale else float(d2 == 0))
     return math.fsum(terms) / len(labeled)
 
 

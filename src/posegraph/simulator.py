@@ -284,17 +284,21 @@ def proposal_responsibilities(
 
 
 def simulate_candidates(
-    scene: SceneAnnotation, proposals: list[PersonProposal], spec: SceneSpec
+    scene: SceneAnnotation,
+    proposals: list[PersonProposal],
+    spec: SceneSpec,
+    sources: dict[int, int],
 ) -> list[CandidateJoint]:
     """Sample per-joint candidate detections for every proposal.
 
-    For each proposal and joint type: the responsible person's joint, when
-    labeled, inside the box, and not missed, yields a strong candidate;
-    every other person's labeled joint inside the box yields an
-    interference candidate with response near ``mu``; a spurious
-    low-response candidate appears at the false-positive rate. Locations
-    are jittered by sigma_noise, responses by a fixed 0.05 deviation
-    (clamped to [0.01, 1]).
+    ``sources`` maps each proposal to its responsible person, as
+    ``proposal_responsibilities`` returns it. For each proposal and joint
+    type: the responsible person's joint, when labeled, inside the box, and
+    not missed, yields a strong candidate; every other person's labeled
+    joint inside the box yields an interference candidate with response
+    near ``mu``; a spurious low-response candidate appears at the
+    false-positive rate. Locations are jittered by sigma_noise, responses
+    by a fixed 0.05 deviation (clamped to [0.01, 1]).
 
     Misses are drawn once per (person, joint) for the whole scene and gate
     only own-joint emissions: a target peak that fails (occlusion, blur)
@@ -307,7 +311,6 @@ def simulate_candidates(
     joints between them.
     """
     rng = np.random.default_rng((spec.seed, 2))
-    sources = proposal_responsibilities(scene, proposals)
     persons = {p.person_id: p for p in scene.persons}
     missed = {
         (person.person_id, k)
@@ -367,12 +370,13 @@ def simulate_scene(spec: SceneSpec) -> SyntheticScene:
     """Generate ground truth, proposals and candidates in one call."""
     generated = generate_scene(spec)
     proposals = simulate_proposals(generated.annotation, spec)
-    candidates = simulate_candidates(generated.annotation, proposals, spec)
+    sources = proposal_responsibilities(generated.annotation, proposals)
+    candidates = simulate_candidates(generated.annotation, proposals, spec, sources)
     return SyntheticScene(
         annotation=generated.annotation,
         proposals=tuple(proposals),
         candidates=tuple(candidates),
-        proposal_sources=proposal_responsibilities(generated.annotation, proposals),
+        proposal_sources=sources,
         achieved_crowd_index=generated.achieved_crowd_index,
         on_target=generated.on_target,
     )

@@ -23,30 +23,34 @@ A solve takes two passes of one search routine. The first runs on the exact
 weights alone (cost -exact). Its potentials u, v prove the matching optimal,
 and they describe all optima: a matching is optimal exactly when it uses
 only tight edges (reduced cost zero) and covers every column with v < 0.
-Another optimum differs from the first by tight alternating cycles, and by tight alternating
-paths from a covered column with v == 0 to a free column. Draw an arc from
-each row's column to each of its other tight columns, and join every free
-column through one hub node to every covered column with v == 0: those
-cycles and paths are then the directed cycles, so the edges that appear in
-some other optimum are the arcs inside a strongly connected component. With
-none, as with random weights, the first matching is the unique optimum.
+Another optimum differs from the first by tight alternating cycles, and by
+tight alternating paths from a covered column with v == 0 to a free column.
+Draw an arc from each row's column to each of its other tight columns, and
+join every free column through one hub node to every covered column with
+v == 0: those cycles and paths are then the directed cycles. Trimming dead
+ends (nodes with no arc onward, then nodes whose every arc leads to one)
+leaves a node exactly when a directed cycle exists. With nothing left, as
+with random weights, the first matching is the unique optimum.
 
-Otherwise the tie-break runs only where another optimum exists. Each
-component formed by the matched edges and those ambiguous edges is solved
+Otherwise the tie-break runs only where another optimum can differ. The
+arcs left after trimming lead to a cycle, and every arc on a cycle is among
+them. Each component formed by the matched edges and those arcs is solved
 again, with one integer cost per edge: the exact weight shifted above a
 tie-break payoff. Row r's k-th edge (rows and columns ascending, R rows)
 pays (d_r - k) * B^(R - 1 - r), where d_r is the row's degree and B is a
 power of two above every degree. Matching a row at all, or to an earlier
 column, outweighs every payoff of the later rows together, which is exactly
 the lexicographic order on sorted pair tuples; the shift puts one unit of
-weight above all payoffs together. The refinement is exact. A re-solve sees
-its rows' matched, ambiguous and slack edges, while every other row keeps
-its first-pass column, so each matching it can return completes to a
-matching of the whole subproblem. Its best exact weight is therefore the
-optimum's, and the matchings that reach it are exactly the parts of optima
-that lie in the component; an optimum is any choice of one such part per
-component with the first matching elsewhere. Both the payoff and the
-lexicographic order separate over independent components.
+weight above all payoffs together. The refinement is exact. A covered
+column left after trimming keeps an arc of its own row, so a component
+holds every row whose column one of its rows can take. A re-solve sees its
+rows' matched, remaining and slack edges, while every other row keeps its
+first-pass column, so each matching it can return completes to a matching
+of the whole subproblem. Its best exact weight is therefore the optimum's,
+and the matchings that reach it are exactly the parts of optima that lie
+in the component; an optimum is any choice of one such part per component
+with the first matching elsewhere. Both the payoff and the lexicographic
+order separate over independent components.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from heapq import heappush, heappop
 
 from .errors import SizeLimitError
 from .graph import PersonJointGraph
-from .grouping import weighted_center
+from .grouping import _UnionFind, weighted_center
 from .joints import JOINT_COUNT, OKS_SIGMAS
 from .metrics import GroundTruthPerson, compute_oks
 
@@ -224,10 +228,9 @@ def _assign(
 def _cycle_arcs(
     arcs: list[tuple[int, int, int]], row_of_col: list[int], v: list[int]
 ) -> list[tuple[int, int, int]]:
-    """The arcs (from_column, to_column, row) that lie on a directed cycle
+    """The arcs (from_column, to_column, row) that lead to a directed cycle
     once one hub node joins every free column to every covered column with
-    ``v == 0``. Dead ends are trimmed before the strongly connected
-    components are found."""
+    ``v == 0``: the arcs left after dead ends are trimmed."""
     hub = -1
     succ: dict[int, list[int]] = {}
     for c, j, _ in arcs:
@@ -258,47 +261,7 @@ def _cycle_arcs(
             outdeg[n] -= 1
             if not outdeg[n]:
                 queue.append(n)
-    live = [n for n, d in outdeg.items() if d]
-    if not live:
-        return []
-
-    # Iterative Tarjan over the nodes left. A node indexed but not yet given
-    # a component is on the stack.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    stack: list[int] = []
-    for root in live:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            for m in it:
-                if not outdeg.get(m):
-                    continue
-                if m not in index:
-                    index[m] = low[m] = len(index)
-                    stack.append(m)
-                    work.append((m, iter(succ[m])))
-                    break
-                if m not in comp and index[m] < low[node]:
-                    low[node] = index[m]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    while True:
-                        m = stack.pop()
-                        comp[m] = node
-                        if m == node:
-                            break
-    return [a for a in arcs if a[0] in comp and comp[a[0]] == comp.get(a[1])]
+    return [a for a in arcs if outdeg.get(a[1])]
 
 
 def _refine(
@@ -313,23 +276,12 @@ def _refine(
     ``col_of_row``. Row r's slack column is ``n_cols + r``."""
     # A row is joined to its matched column, so components of columns
     # suffice: each ambiguous arc joins its two columns.
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = _UnionFind(n_cols + len(col_of_row))
     for c, j, _ in ambiguous:
-        a, b = find(c), find(j)
-        if a != b:
-            parent[a] = b
+        uf.union(c, j)
     groups: dict[int, dict[int, list[int]]] = {}
     for c, j, r in ambiguous:
-        groups.setdefault(find(c), {}).setdefault(r, [c]).append(j)
+        groups.setdefault(uf.find(c), {}).setdefault(r, [c]).append(j)
 
     for extra in groups.values():
         rows = sorted(extra)

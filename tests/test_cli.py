@@ -370,6 +370,69 @@ def test_evaluate_out_of_range_bbox_is_parse_error(tmp_path, capsys):
     assert "map_50_95" not in stdout
 
 
+def _evaluate_one_person(tmp_path, capsys, person, keypoints, config=None):
+    # One annotated person and one predicted pose on image 0.
+    (tmp_path / "in.annotations.json").write_text(
+        json.dumps({**_ANNOTATIONS, "annotations": [person]})
+    )
+    pose = {"proposal_id": 0, "score": 1.0, "keypoints": keypoints}
+    (tmp_path / "in.results.json").write_text(json.dumps({**_RESULTS, "poses": [pose]}))
+    argv = ["evaluate", "--results", str(tmp_path / "in.results.json"),
+            "--annotations", str(tmp_path / "in.annotations.json")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    return run(capsys, *argv)
+
+
+def test_evaluate_far_keypoint_scores_zero(tmp_path, capsys):
+    # Squaring a displacement of 1e200 once raised OverflowError, and
+    # evaluate exited 2; that joint scores 0, so OKS is 13/14.
+    keypoints = [[1e200, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 13
+    code, stdout, stderr = _evaluate_one_person(tmp_path, capsys, _PERSON, keypoints)
+    assert (code, stderr) == (0, "")
+    assert "map_50_95    0.9000" in stdout
+
+
+def test_evaluate_zero_area_bbox_is_named_error(tmp_path, capsys):
+    # 1e-200 * 1e-200 underflows to zero area, which once divided by zero.
+    person = {**_PERSON, "bbox": [0, 0, 1e-200, 1e-200]}
+    code, stdout, stderr = _evaluate_one_person(
+        tmp_path, capsys, person, [[1.0, 1.0, 1.0]] * 14
+    )
+    assert code == 2
+    assert stderr.startswith("error: bbox must be finite with positive area")
+    assert "map_50_95" not in stdout
+
+
+def test_evaluate_underflowing_oks_sigma_takes_the_limit(tmp_path, capsys):
+    # 2 s^2 kappa^2 underflows to zero for sigma 1e-200: an exact hit scores
+    # 1 and any miss 0, where the division once raised ZeroDivisionError.
+    keypoints = [[1.5, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 13
+    code, stdout, stderr = _evaluate_one_person(
+        tmp_path, capsys, _PERSON, keypoints, config={"oks_sigmas": [1e-200] * 14}
+    )
+    assert (code, stderr) == (0, "")
+    assert "map_50_95    0.9000" in stdout
+
+
+@pytest.mark.parametrize("document", ["candidates", "config"])
+def test_deeply_nested_json_is_named_error(tmp_path, capsys, document):
+    # The parser's RecursionError once ended in a traceback with exit 1.
+    (tmp_path / "in.candidates.json").write_text(json.dumps(_CANDIDATES))
+    (tmp_path / "in.config.json").write_text("{}")
+    bad = tmp_path / f"in.{document}.json"
+    bad.write_text("[" * 100_000)
+    written = tmp_path / "out.results.json"
+    code, _, stderr = run(
+        capsys, "associate", str(tmp_path / "in.candidates.json"),
+        "--config", str(tmp_path / "in.config.json"), "--out", str(written),
+    )
+    assert code == 2
+    assert stderr == f"error: {bad}: JSON nested too deeply\n"
+    assert not written.exists()
+
+
 def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     out, _ = synth_clean(tmp_path, capsys)
     code, _, stderr = run(

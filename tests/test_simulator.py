@@ -143,7 +143,9 @@ def big_proposal(pid, score=0.95):
 def test_isolated_person_emits_one_strong_candidate_per_joint():
     scene = hand_scene([(0.0, 0.0)])
     spec = SceneSpec(target_crowd_index=0.0, seed=4, **CLEAN)
-    candidates = simulate_candidates(scene, [big_proposal(0)], spec)
+    proposals = [big_proposal(0)]
+    sources = proposal_responsibilities(scene, proposals)
+    candidates = simulate_candidates(scene, proposals, spec, sources)
     assert len(candidates) == JOINT_COUNT
     assert sorted(c.joint_type for c in candidates) == list(range(JOINT_COUNT))
     assert all(c.origin == (0, c.joint_type) for c in candidates)
@@ -160,7 +162,7 @@ def test_overlapping_pair_adds_half_strength_interference():
     spec = SceneSpec(target_crowd_index=0.0, seed=4, mu=0.5, **CLEAN)
     proposals = [big_proposal(0), big_proposal(1)]
     sources = proposal_responsibilities(scene, proposals)
-    candidates = simulate_candidates(scene, proposals, spec)
+    candidates = simulate_candidates(scene, proposals, spec, sources)
     for pid in (0, 1):
         mine = [c for c in candidates if c.source_proposal == pid]
         own = [c for c in mine if c.origin[0] == sources[pid]]
@@ -181,7 +183,7 @@ def test_full_missing_rate_leaves_only_interference_and_noise():
     )
     proposals = [big_proposal(0), big_proposal(1)]
     sources = proposal_responsibilities(scene, proposals)
-    candidates = simulate_candidates(scene, proposals, spec)
+    candidates = simulate_candidates(scene, proposals, spec, sources)
     assert candidates
     for c in candidates:
         if c.origin is None:
@@ -196,7 +198,8 @@ def test_misses_are_shared_across_proposals():
     spec = SceneSpec(target_crowd_index=0.0, seed=12, sigma_noise=0.0,
                      fp_rate=0.0, missing_rate=0.5)
     proposals = [big_proposal(0), big_proposal(1)]
-    candidates = simulate_candidates(scene, proposals, spec)
+    sources = proposal_responsibilities(scene, proposals)
+    candidates = simulate_candidates(scene, proposals, spec, sources)
     emitted = {
         pid: {c.joint_type for c in candidates if c.source_proposal == pid}
         for pid in (0, 1)
@@ -296,9 +299,9 @@ def test_association_accuracy_counts_reclaims_as_errors():
     scene = hand_scene([(0.0, 0.0)])
     spec = SceneSpec(target_crowd_index=0.0, seed=4, **CLEAN)
     proposals = [big_proposal(0), big_proposal(1)]
-    candidates = simulate_candidates(scene, proposals, spec)
-    nodes = group_candidates(candidates, JointSpec())
     sources = proposal_responsibilities(scene, proposals)
+    candidates = simulate_candidates(scene, proposals, spec, sources)
+    nodes = group_candidates(candidates, JointSpec())
     first = {(c.joint_type, 0, n.node_id) for n in nodes for c in [n.members[0]]}
     both = {(k, pid, j) for (k, _, j) in first for pid in (0, 1)}
     assert association_accuracy(sorted(first)[:5], nodes, sources) == 1.0

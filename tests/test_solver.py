@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from heapq import heappop, heappush
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 import posegraph
 from posegraph.errors import SizeLimitError
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
-from posegraph.grouping import CandidateJoint, JointNode
+from posegraph.grouping import CandidateJoint, JointNode, group_candidates
+from posegraph.joints import JointSpec
+from posegraph.simulator import SceneSpec, simulate_scene
 from posegraph.solver import (
     INF,
     Assignment,
@@ -470,6 +474,76 @@ def test_all_equal_ring_returns_identity():
     matching = solve_subgraph(weights)
     assert matching.pairs == tuple((i, i) for i in range(300))
     assert matching.total_weight == 150.0
+
+
+def _count_optima(weights):
+    """How many matchings of the positive entries reach the maximum exact
+    weight."""
+    exact = {(i, j): n for i, j, n in _exact_entries(weights)}
+    rows = sorted({i for i, _ in exact})
+    cols = sorted({j for _, j in exact})
+
+    @functools.lru_cache(maxsize=None)
+    def best(idx, used):
+        # Matchings of rows[idx:] avoiding the columns in bitmask ``used``.
+        if idx == len(rows):
+            return 0, 1
+        top, count = best(idx + 1, used)
+        for bit, j in enumerate(cols):
+            if (rows[idx], j) in exact and not used >> bit & 1:
+                weight, ways = best(idx + 1, used | 1 << bit)
+                weight += exact[(rows[idx], j)]
+                if weight > top:
+                    top, count = weight, ways
+                elif weight == top:
+                    count += ways
+        return top, count
+
+    return best(0, 0)[1]
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.floats(0.05, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_refinement_runs_exactly_when_another_optimum_exists(n_rows, n_cols, density, seed):
+    # Trimming dead ends leaves an arc exactly when a tight cycle exists, and
+    # that is exactly when a second matching reaches the optimum.
+    weights = _random_weights(n_rows, n_cols, density, "levels", seed)
+    with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+        solve_subgraph(weights)
+    assert (spy.call_count > 1) == (_count_optima(weights) >= 2), weights
+
+
+@pytest.mark.parametrize("size", [100, 200, 400])
+def test_random_ring_is_solved_in_one_pass(size):
+    # The criterion 09 ring: random weights leave one optimum, so the
+    # exact-weight pass decides it and no refinement runs.
+    weights = _ring_weights(size, np.random.default_rng((0, size)))
+    with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+        solve_subgraph(weights)
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SceneSpec(seed=0), SceneSpec(person_min=30, person_max=30, target_crowd_index=1.0)],
+    ids=["default", "thirty-persons"],
+)
+def test_simulated_scene_is_solved_in_one_pass_per_subproblem(spec):
+    # Simulated responses leave no exact ties, so no subproblem refines.
+    scene = simulate_scene(spec)
+    nodes = group_candidates(list(scene.candidates), JointSpec())
+    graph = build_graph(list(scene.proposals), nodes)
+    with mock.patch.object(
+        posegraph.solver, "solve_subgraph", wraps=solve_subgraph
+    ) as subproblems, mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+        solve_graph(graph)
+    assert subproblems.call_count >= 10
+    assert spy.call_count == subproblems.call_count
 
 
 @given(
