@@ -7,12 +7,7 @@ a synthetic scene generator, and a CLI tying the stages together.
 """
 
 from .config import Config, build_config, load_config_file
-from .errors import (
-    FormatError,
-    IntegrityError,
-    SizeLimitError,
-    UndefinedMetricError,
-)
+from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .graph import Edge, PersonJointGraph, PersonProposal, build_graph, degree_stats
 from .grouping import (
     CandidateJoint,
@@ -52,7 +47,6 @@ from .solver import (
     Assignment,
     Matching,
     Pose,
-    brute_force_oracle,
     build_poses,
     greedy_baseline,
     greedy_select,
@@ -85,12 +79,10 @@ __all__ = [
     "Pose",
     "SceneAnnotation",
     "SceneSpec",
-    "SizeLimitError",
     "SyntheticScene",
     "UndefinedMetricError",
     "association_accuracy",
     "bbox_iou",
-    "brute_force_oracle",
     "build_config",
     "build_graph",
     "build_poses",

@@ -11,11 +11,6 @@ class UndefinedMetricError(Exception):
     person with zero labeled joints)."""
 
 
-class SizeLimitError(ValueError):
-    """An exhaustive computation was refused because the input exceeds the
-    enumeration guard."""
-
-
 class FormatError(ValueError):
     """A JSON document does not match the expected file format; the message
     names the offending field."""

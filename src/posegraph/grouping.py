@@ -5,22 +5,22 @@ the other's control domain, a disc whose radius is the smaller response size
 times the per-joint tolerance. That pairwise relation is not transitive, so
 nodes are the connected components of its closure.
 
-``same_group`` alone decides the relation. ``group_candidates`` calls it
-only on pairs that pass a numpy pre-filter: both coordinate gaps at most
-min(response sizes) * tolerance, the same float operations ``same_group``
-does. ``math.hypot`` is faithfully rounded, so it never returns less than
-the larger gap, and the pre-filter drops no related pair. The filter runs
-over row blocks of a fixed size, so its memory grows linearly with the
-candidate count.
+``same_group`` alone decides the relation. ``group_candidates`` sorts each
+joint type's candidates by x and, from each candidate a, calls it on the
+later candidates until the x gap exceeds a's response size times the
+tolerance. That stop drops no related pair: the rounded gap never shrinks
+along the sort, the relation's bound min(sizes) * tolerance is at most a's
+own, and ``math.hypot`` is faithfully rounded, so it is never below the x
+gap. A gap or bound that overflows to inf compares as in ``same_group``.
+Well-separated candidates cost about one comparison each past the sort;
+candidates packed into one narrow x column cost one ``same_group`` call
+per pair.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .joints import JOINT_COUNT, JointSpec
 
@@ -45,8 +45,9 @@ class CandidateJoint:
         x, y = self.location
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"location must be finite, got {self.location}")
-        # Integers beyond 2**53 would subtract exactly in same_group but
-        # rounded in the grouping pre-filter; floats make the two agree.
+        # An int beyond 2**53 subtracts exactly from an int but rounds
+        # against a float, so a mix could shrink the x gap along the sort
+        # and end the sweep in group_candidates early; floats keep it growing.
         object.__setattr__(self, "location", (float(x), float(y)))
         if not 0 < self.response < math.inf:
             raise ValueError(f"response must be positive and finite, got {self.response}")
@@ -95,40 +96,6 @@ def same_group(a: CandidateJoint, b: CandidateJoint, delta_k: float) -> bool:
     return dist <= min(a.response_size, b.response_size) * delta_k
 
 
-# Upper limit on the pair cells one pre-filter block holds (8 MB per float
-# array), so the filter's memory grows linearly with the candidate count.
-_BLOCK_CELLS = 1 << 20
-
-
-def _near_pairs(
-    members: list[CandidateJoint], delta_k: float
-) -> Iterator[tuple[int, int]]:
-    """Positions (a, b), a < b, of the pairs that ``same_group`` may relate.
-
-    Keeps a pair when |dx| and |dy| are both at most
-    min(response sizes) * delta_k, a superset of the relation. A gap or
-    bound that overflows to inf compares as ``same_group`` compares it.
-    """
-    n = len(members)
-    xy = np.array([m.location for m in members], dtype=np.float64)
-    size = np.array([m.response_size for m in members], dtype=np.float64)
-    rows = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n - 1, rows):
-        block = slice(start, min(start + rows, n - 1))
-        later = slice(start + 1, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.minimum(size[block, None], size[None, later])
-            bound *= delta_k
-            gap = np.subtract(xy[block, None, 0], xy[None, later, 0])
-            near = np.abs(gap, out=gap) <= bound
-            np.subtract(xy[block, None, 1], xy[None, later, 1], out=gap)
-            near &= np.abs(gap, out=gap) <= bound
-        # Local column c is position start + 1 + c, past row r when c >= r.
-        r, c = np.nonzero(near)
-        keep = c >= r
-        yield from zip((r[keep] + start).tolist(), (c[keep] + start + 1).tolist())
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -172,25 +139,31 @@ def group_candidates(
             )
         by_type.setdefault(cand.joint_type, []).append(idx)
 
-    nodes = []
-    for joint_type in sorted(by_type):
-        indices = by_type[joint_type]
+    uf = _UnionFind(len(candidates))
+    for joint_type, indices in by_type.items():
         delta_k = spec.delta[joint_type]
-        same_type = [candidates[i] for i in indices]
-        uf = _UnionFind(len(indices))
-        for a, b in _near_pairs(same_type, delta_k):
-            if same_group(same_type[a], same_type[b], delta_k):
-                uf.union(a, b)
-        components: dict[int, list[int]] = {}
-        for local, idx in enumerate(indices):
-            components.setdefault(uf.find(local), []).append(idx)
-        # find() roots are the smallest local index per component, so sorting
-        # roots orders components by earliest member.
-        for root in sorted(components):
-            members = tuple(candidates[i] for i in components[root])
-            nodes.append(
-                JointNode(joint_type=joint_type, members=members, node_id=len(nodes))
-            )
+        order = sorted(indices, key=lambda i: candidates[i].location[0])
+        for pos, i in enumerate(order):
+            a = candidates[i]
+            x, reach = a.location[0], a.response_size * delta_k
+            for later in range(pos + 1, len(order)):
+                b = candidates[order[later]]
+                if b.location[0] - x > reach:
+                    break
+                if same_group(a, b, delta_k):
+                    uf.union(i, order[later])
+
+    components: dict[int, list[int]] = {}
+    for idx in range(len(candidates)):
+        components.setdefault(uf.find(idx), []).append(idx)
+    # find() roots are the smallest input position per component.
+    nodes = []
+    for root in sorted(components, key=lambda r: (candidates[r].joint_type, r)):
+        members = tuple(candidates[i] for i in components[root])
+        nodes.append(
+            JointNode(joint_type=members[0].joint_type, members=members,
+                      node_id=len(nodes))
+        )
     return nodes
 
 

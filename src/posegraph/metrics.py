@@ -150,7 +150,7 @@ def compute_oks(
             d2 = math.inf
         kappa = 2.0 * sigmas[k]
         scale = 2.0 * s2 * kappa * kappa
-        terms.append(math.exp(-d2 / scale) if scale else float(d2 == 0))
+        terms.append(math.exp(-d2 / scale) if scale and d2 < math.inf else float(d2 == 0))
     return math.fsum(terms) / len(labeled)
 
 

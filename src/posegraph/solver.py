@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
-from .errors import SizeLimitError
 from .graph import PersonJointGraph
 from .grouping import _UnionFind, weighted_center
 from .joints import JOINT_COUNT, OKS_SIGMAS
@@ -349,75 +348,19 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     col_of_row, row_of_col, u, v = _assign(adj, n_cols + n_rows)
 
     # Each unmatched tight edge (r, j) is an arc from r's column to j.
-    pairs = []
     arcs = []
     for r, edges in enumerate(adj):
         c = col_of_row[r]
-        if c < n_cols:
-            pairs.append((rows[r], cols[c]))
         ur = u[r]
         for j, cost in edges:
             if cost - ur == v[j] and j != c:
                 arcs.append((c, j, r))
-    if arcs:
-        ambiguous = _cycle_arcs(arcs, row_of_col, v)
-        if ambiguous:
-            _refine(ambiguous, col_of_row, u, v, n_cols)
-            pairs = [
-                (rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols
-            ]
+    ambiguous = _cycle_arcs(arcs, row_of_col, v)
+    if ambiguous:
+        _refine(ambiguous, col_of_row, u, v, n_cols)
+    pairs = [(rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols]
     total = math.fsum(weights[p] for p in pairs)
     return Matching(pairs=tuple(pairs), total_weight=total)
-
-
-def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
-    """Exhaustive maximum-weight matching for small instances.
-
-    Enumerates every feasible matching and compares exact integer weight
-    sums; among equal maxima the lexicographically smallest pair tuple wins,
-    mirroring the solver's tie-break. The reported total is the math.fsum of
-    the selected weights, as in the solver.
-
-    Raises:
-        SizeLimitError: more than 8 rows or 8 columns.
-        ValueError: any negative or non-finite weight.
-    """
-    exact: dict[tuple[int, int], int] = {}
-    columns_of: dict[int, list[int]] = {}
-    for i, j, n in _exact_entries(weights):
-        exact[(i, j)] = n
-        columns_of.setdefault(i, []).append(j)
-    rows = sorted(columns_of)
-    n_cols = len({j for _, j in exact})
-    if len(rows) > 8 or n_cols > 8:
-        raise SizeLimitError(
-            f"instance {len(rows)}x{n_cols} exceeds the 8x8 enumeration guard"
-        )
-
-    best_exact = 0
-    best_pairs: tuple[tuple[int, int], ...] = ()
-
-    def recurse(idx: int, used: set[int], chosen: list[tuple[int, int]]):
-        nonlocal best_exact, best_pairs
-        if idx == len(rows):
-            pairs = tuple(chosen)
-            total = sum(exact[p] for p in pairs)
-            if total > best_exact or (total == best_exact and pairs < best_pairs):
-                best_exact, best_pairs = total, pairs
-            return
-        recurse(idx + 1, used, chosen)
-        i = rows[idx]
-        for j in columns_of[i]:
-            if j not in used:
-                used.add(j)
-                chosen.append((i, j))
-                recurse(idx + 1, used, chosen)
-                chosen.pop()
-                used.remove(j)
-
-    recurse(0, set(), [])
-    total = math.fsum(weights[p] for p in best_pairs)
-    return Matching(pairs=best_pairs, total_weight=total)
 
 
 def solve_graph(graph: PersonJointGraph) -> Assignment:

@@ -36,13 +36,14 @@ from posegraph.metrics import (
 from posegraph.simulator import SceneSpec, association_accuracy, simulate_scene
 from posegraph.solver import (
     Pose,
-    brute_force_oracle,
     build_poses,
     greedy_select,
     greedy_total_weight,
     solve_graph,
     solve_subgraph,
 )
+
+from oracle import brute_force_oracle
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:

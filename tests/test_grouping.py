@@ -240,6 +240,12 @@ _CANDIDATES = st.lists(
 # bound overflows to inf: every pair relates, even across 3.4e308
 @example([cand(1.7e308, 0, u=1e300), cand(-1.7e308, 5e-324, u=1e308)], [1e308] * 14)
 @example([cand(1e308, 0), cand(-1e308, 0), cand(1e308, 0)], [1.0] * 14)
+# the middle candidate's small size must not end the scan from the first,
+# which relates to the third
+@example([cand(0, 0, u=5.0), cand(1, 10, u=0.5), cand(4, 0, u=5.0)], [1.0] * 14)
+# sort ties: a column at x = 0, 2 px apart, listed out of y order; the
+# candidate at x = 6 listed among them ends an unsorted scan too early
+@example([cand(0, 0), cand(0, 4), cand(6, 0), cand(0, 2), cand(0, 6)], [1.0] * 14)
 @settings(max_examples=400, deadline=None)
 def test_group_equals_all_pairs_reference(candidates, deltas):
     spec = JointSpec(delta=tuple(deltas))
@@ -251,7 +257,7 @@ def test_group_equals_all_pairs_reference(candidates, deltas):
 
 def test_integer_locations_group_as_floats():
     # same_group once subtracted these integers exactly (gap 2, related),
-    # while the pre-filter saw the rounded floats (gap 4) and split them.
+    # while a numpy pre-filter saw the rounded floats (gap 4) and split them.
     a, b = (
         CandidateJoint(location=(2**53 + k, 0), response=0.5, joint_type=0,
                        source_proposal=0, response_size=2.0)

@@ -119,6 +119,17 @@ def test_oks_is_scale_invariant(scale, seed):
     )
 
 
+def test_oks_overflowing_displacement_scores_zero_under_overflowing_scale():
+    # kappa^2 = 4e400 overflows, so 2 s^2 kappa^2 is inf; the far joint's
+    # d^2 is inf as well and once made its term exp(-inf / inf) = NaN.
+    gt = gt_person([(k, (10.0 * k, 5.0)) for k in range(14)], (0, 0, 200, 100))
+    pred = pose_from(gt)
+    keypoints = list(pred.keypoints)
+    keypoints[3] = ((30.0 + 1e200, 5.0), 0.9)
+    pred = dataclasses.replace(pred, keypoints=tuple(keypoints))
+    assert compute_oks(pred, gt, (1e200,) * 14) == 13 / 14
+
+
 def test_oks_without_labeled_joints_is_undefined():
     gt = GroundTruthPerson(person_id=0, keypoints=(None,) * 14, bbox=(0, 0, 10, 10))
     pred = Pose(proposal_id=0, keypoints=(((0.0, 0.0), 0.5),) + (None,) * 13,

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posegraph
-from posegraph.errors import SizeLimitError
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
 from posegraph.grouping import CandidateJoint, JointNode, group_candidates
 from posegraph.joints import JointSpec
@@ -26,7 +25,6 @@ from posegraph.solver import (
     Pose,
     _assign,
     _exact_entries,
-    brute_force_oracle,
     build_poses,
     greedy_baseline,
     greedy_select,
@@ -35,6 +33,8 @@ from posegraph.solver import (
     solve_graph,
     solve_subgraph,
 )
+
+from oracle import SizeLimitError, brute_force_oracle
 
 TWO_BY_TWO = {(0, 0): 0.9, (0, 1): 0.6, (1, 0): 0.8}
 
