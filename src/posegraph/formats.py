@@ -171,12 +171,13 @@ def json_numbers(
     names the field that is missing or is not a number: null, strings,
     lists, objects and booleans are not numbers, and neither is a
     non-integral value such as 1.5 under one of the ``integers`` keys. An
-    integral float such as 2.0 there is returned as an int."""
+    integral float such as 2.0 there is returned as an int, and an int under
+    any other key as a float, which it must fit."""
     if isinstance(payload, dict):
         values = []
         for key in keys:
             value = payload.get(key)
-            if type(value) is not float and type(value) is not int:
+            if type(value) is not float and (type(value) is not int or key not in integers):
                 break
             values.append(value)
         else:
@@ -186,8 +187,8 @@ def json_numbers(
             else:
                 return values
     elif isinstance(payload, list):
-        for value in payload:
-            if type(value) is not float and type(value) is not int:
+        for key, value in zip(keys, payload):
+            if type(value) is not float and (type(value) is not int or key not in integers):
                 break
         else:
             for key in integers:
@@ -197,9 +198,11 @@ def json_numbers(
                 return payload
     else:
         raise FormatError(f"{where} must be a JSON object")
-    # Only on failure or a float under an integer key: name the first field
-    # that is missing, not a number or not integral, else convert.
+    # Only on failure or a number of the other kind: name the first field
+    # that is missing, not a number, not integral or past the float range,
+    # else convert.
     fields = payload if isinstance(payload, dict) else dict(zip(keys, payload))
+    values = []
     for key in keys:
         if key not in fields:
             raise FormatError(f"{where} is missing field '{key}'")
@@ -209,13 +212,17 @@ def json_numbers(
             raise FormatError(f"{where} field '{key}' must be a number, got {kind}")
         if key in integers and type(value) is float and not value.is_integer():
             raise FormatError(f"{where} field '{key}' must be an integer, got {value}")
-    return [int(fields[key]) if key in integers else fields[key] for key in keys]
+        try:
+            values.append(int(value) if key in integers else float(value))
+        except OverflowError:
+            raise FormatError(f"{where} field '{key}' is beyond the float range") from None
+    return values
 
 
 def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
     if not isinstance(values, list) or len(values) != 4:
         raise FormatError(f"{where} must be a list of 4 numbers")
-    return tuple(float(v) for v in json_numbers(values, ("x", "y", "w", "h"), where))
+    return tuple(json_numbers(values, ("x", "y", "w", "h"), where))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
             if vis == 0:
                 slots.append(None)
             elif vis in (1, 2):
-                slots.append(((float(x), float(y)), vis))
+                slots.append(((x, y), vis))
             else:
                 raise FormatError(f"visibility must be 0, 1, or 2, got {vis}")
         persons[image_id].append(
@@ -361,7 +368,7 @@ def parse_candidates_payload(
         proposal = PersonProposal(
             proposal_id=proposal_id,
             bbox=_float4(_require(entry, "bbox", "proposal entry"), "bbox"),
-            detection_score=float(score),
+            detection_score=score,
         )
         proposals.append(proposal)
         known_ids.add(proposal.proposal_id)
@@ -396,11 +403,11 @@ def parse_candidates_payload(
             origin = (person_id, origin_type)
         candidates.append(
             CandidateJoint(
-                location=(float(x), float(y)),
-                response=float(response),
+                location=(x, y),
+                response=response,
                 joint_type=joint_type,
                 source_proposal=proposal_id,
-                response_size=float(size),
+                response_size=size,
                 origin=origin,
             )
         )
@@ -448,7 +455,7 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
             if not isinstance(row, list) or len(row) != 3:
                 raise FormatError("pose keypoint must be null or [x, y, s]")
             x, y, score = json_numbers(row, ("x", "y", "s"), "pose keypoint")
-            slots.append(((float(x), float(y)), float(score)))
+            slots.append(((x, y), score))
         proposal_id, score = json_numbers(
             entry, ("proposal_id", "score"), "pose entry", ("proposal_id",)
         )
@@ -456,7 +463,7 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
             Pose(
                 proposal_id=proposal_id,
                 keypoints=tuple(slots),
-                pose_score=float(score),
+                pose_score=score,
             )
         )
     return image_id, poses

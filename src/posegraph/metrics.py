@@ -107,13 +107,6 @@ def bbox_iou(
     return inter / (aw * ah + bw * bh - inter)
 
 
-def _inside(bbox: tuple[float, float, float, float], point: tuple[float, float]) -> bool:
-    # Boundary points count as inside; ground-truth boxes are often tight
-    # around the joints, so an exclusive test would drop perimeter joints.
-    x, y, w, h = bbox
-    return x <= point[0] <= x + w and y <= point[1] <= y + h
-
-
 def compute_oks(
     pred: "Pose", gt: GroundTruthPerson, sigmas: Sequence[float] = OKS_SIGMAS
 ) -> float:
@@ -157,13 +150,24 @@ def compute_oks(
 def _joints_in_boxes(boxes: np.ndarray, joints: np.ndarray) -> np.ndarray:
     """``inside[i, j, k]``: joint k of person j lies in box i.
 
-    ``boxes`` is P x 4 (x, y, w, h) and ``joints`` P x K x 2, NaN for an
-    unlabeled slot. The test is ``_inside``'s, with the same float sums; NaN
-    never counts as inside.
+    ``boxes`` is B x 4 (x, y, w, h) and ``joints`` P x K x 2, NaN for an
+    unlabeled slot (see ``_joint_array``); NaN never counts as inside.
+    Boundary points count as inside: ground-truth boxes are often tight
+    around the joints, so an exclusive test would drop perimeter joints.
     """
     x, y, w, h = (boxes[:, c, None, None] for c in range(4))
     px, py = joints[None, :, :, 0], joints[None, :, :, 1]
     return (x <= px) & (px <= x + w) & (y <= py) & (py <= y + h)
+
+
+def _joint_array(persons: Sequence[GroundTruthPerson]) -> np.ndarray:
+    """The persons' joint locations, P x K x 2 with NaN for unlabeled slots."""
+    slots = max((len(p.keypoints) for p in persons), default=0)
+    joints = np.full((len(persons), slots, 2), np.nan)
+    for j, person in enumerate(persons):
+        for k, loc in person.labeled_joints():
+            joints[j, k] = loc
+    return joints
 
 
 def _crowd_index_of(boxes: np.ndarray, joints: np.ndarray) -> float | None:
@@ -189,13 +193,8 @@ def crowd_index(scene: SceneAnnotation) -> float:
     Raises:
         UndefinedMetricError: no person has a labeled joint in its own box.
     """
-    slots = max((len(p.keypoints) for p in scene.persons), default=0)
-    joints = np.full((len(scene.persons), slots, 2), np.nan)
-    for j, person in enumerate(scene.persons):
-        for k, loc in person.labeled_joints():
-            joints[j, k] = loc
     boxes = np.array([p.bbox for p in scene.persons], dtype=float).reshape(-1, 4)
-    index = _crowd_index_of(boxes, joints)
+    index = _crowd_index_of(boxes, _joint_array(scene.persons))
     if index is None:
         raise UndefinedMetricError(
             f"image {scene.image_id}: no person with labeled joints in its own bbox"
@@ -275,17 +274,14 @@ def evaluate(
 
     # Per-image prep: scored predictions in rank order and the OKS matrix
     # against labeled ground-truth persons.
-    prepped: dict[int, tuple[list, list, np.ndarray]] = {}
+    prepped: dict[int, tuple[list, list, list[list[float]]]] = {}
     for scene in annotations:
         gts = [p for p in scene.persons if p.labeled_joints()]
         preds = sorted(
             predictions.get(scene.image_id, []),
             key=lambda p: (-p.pose_score, p.proposal_id),
         )
-        oks = np.zeros((len(preds), len(gts)))
-        for pi, pred in enumerate(preds):
-            for gi, gt in enumerate(gts):
-                oks[pi, gi] = compute_oks(pred, gt, sigmas)
+        oks = [[compute_oks(pred, gt, sigmas) for gt in gts] for pred in preds]
         prepped[scene.image_id] = (preds, gts, oks)
 
     def band_of(scene: SceneAnnotation) -> CrowdingLevel | None:
@@ -297,27 +293,31 @@ def evaluate(
     image_ids = sorted(ann_by_id)
     bands = {image_id: band_of(ann_by_id[image_id]) for image_id in image_ids}
 
-    def score_subset(subset: list[int], threshold: float) -> tuple[float, float]:
+    def matched_records(image_id: int, threshold: float) -> list:
+        preds, gts, oks = prepped[image_id]
         records = []
-        n_gt = 0
-        for image_id in subset:
-            preds, gts, oks = prepped[image_id]
-            n_gt += len(gts)
-            taken = [False] * len(gts)
-            for pi, pred in enumerate(preds):
-                best_gi = -1
-                best_oks = 0.0
-                for gi in range(len(gts)):
-                    if not taken[gi] and oks[pi, gi] > best_oks:
-                        best_gi, best_oks = gi, oks[pi, gi]
-                matched = best_gi >= 0 and best_oks >= threshold
-                if matched:
-                    taken[best_gi] = True
-                records.append((pred.pose_score, image_id, pred.proposal_id, matched))
-        return _ap_and_ar(records, n_gt)
+        taken = [False] * len(gts)
+        for pred, row in zip(preds, oks):
+            best_gi = -1
+            best_oks = 0.0
+            for gi, value in enumerate(row):
+                if not taken[gi] and value > best_oks:
+                    best_gi, best_oks = gi, value
+            matched = best_gi >= 0 and best_oks >= threshold
+            if matched:
+                taken[best_gi] = True
+            records.append((pred.pose_score, image_id, pred.proposal_id, matched))
+        return records
+
+    # Each image is matched once per threshold; the image sets pool those.
+    matches = {t: {i: matched_records(i, t) for i in image_ids} for t in OKS_THRESHOLDS}
 
     def mean_ap_ar(subset: list[int]) -> tuple[float, float, dict[float, tuple[float, float]]]:
-        per_threshold = {t: score_subset(subset, t) for t in OKS_THRESHOLDS}
+        n_gt = sum(len(prepped[i][1]) for i in subset)
+        per_threshold = {
+            t: _ap_and_ar([r for i in subset for r in matches[t][i]], n_gt)
+            for t in OKS_THRESHOLDS
+        }
         ap = math.fsum(v[0] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
         ar = math.fsum(v[1] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
         return ap, ar, per_threshold

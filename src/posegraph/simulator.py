@@ -24,7 +24,7 @@ from .metrics import (
     GroundTruthPerson,
     SceneAnnotation,
     _crowd_index_of,
-    _inside,
+    _joint_array,
     _joints_in_boxes,
     bbox_iou,
 )
@@ -311,7 +311,7 @@ def simulate_candidates(
     joints between them.
     """
     rng = np.random.default_rng((spec.seed, 2))
-    persons = {p.person_id: p for p in scene.persons}
+    position = {p.person_id: j for j, p in enumerate(scene.persons)}
     missed = {
         (person.person_id, k)
         for person in scene.persons
@@ -320,13 +320,10 @@ def simulate_candidates(
     }
     candidates = []
 
-    def emit(location, response_mean, joint_type, proposal_id, origin):
-        lx = location[0] + rng.normal(0.0, spec.sigma_noise)
-        ly = location[1] + rng.normal(0.0, spec.sigma_noise)
-        response = min(max(rng.normal(response_mean, 0.05), _RESPONSE_FLOOR), 1.0)
+    def add(location, response, joint_type, proposal_id, origin):
         candidates.append(
             CandidateJoint(
-                location=(float(lx), float(ly)),
+                location=(float(location[0]), float(location[1])),
                 response=float(response),
                 joint_type=joint_type,
                 source_proposal=proposal_id,
@@ -335,34 +332,31 @@ def simulate_candidates(
             )
         )
 
-    for proposal in proposals:
-        own = persons[sources[proposal.proposal_id]]
+    def emit(location, response_mean, joint_type, proposal_id, origin):
+        lx = location[0] + rng.normal(0.0, spec.sigma_noise)
+        ly = location[1] + rng.normal(0.0, spec.sigma_noise)
+        response = min(max(rng.normal(response_mean, 0.05), _RESPONSE_FLOOR), 1.0)
+        add((lx, ly), response, joint_type, proposal_id, origin)
+
+    # in_box[j][k]: joint k of the scene's j-th person lies in the box.
+    boxes = np.array([p.bbox for p in proposals], dtype=float).reshape(-1, 4)
+    inside = _joints_in_boxes(boxes, _joint_array(scene.persons)).tolist()
+    for proposal, in_box in zip(proposals, inside):
+        own_id = sources[proposal.proposal_id]
+        own = position[own_id]
         own_strength = proposal.detection_score
         for k in range(JOINT_COUNT):
-            slot = own.keypoints[k]
-            if slot is not None and _inside(proposal.bbox, slot[0]):
-                if (own.person_id, k) not in missed:
-                    emit(slot[0], own_strength, k, proposal.proposal_id, (own.person_id, k))
-            for person in scene.persons:
-                if person.person_id == own.person_id:
-                    continue
-                slot = person.keypoints[k]
-                if slot is not None and _inside(proposal.bbox, slot[0]):
-                    emit(slot[0], spec.mu, k, proposal.proposal_id, (person.person_id, k))
+            if in_box[own][k] and (own_id, k) not in missed:
+                location = scene.persons[own].keypoints[k][0]
+                emit(location, own_strength, k, proposal.proposal_id, (own_id, k))
+            for j, person in enumerate(scene.persons):
+                if j != own and in_box[j][k]:
+                    emit(person.keypoints[k][0], spec.mu, k, proposal.proposal_id,
+                         (person.person_id, k))
             if rng.random() < spec.fp_rate:
                 x, y, w, h = proposal.bbox
                 location = (rng.uniform(x, x + w), rng.uniform(y, y + h))
-                lx, ly = float(location[0]), float(location[1])
-                candidates.append(
-                    CandidateJoint(
-                        location=(lx, ly),
-                        response=float(rng.uniform(0.1, 0.4)),
-                        joint_type=k,
-                        source_proposal=proposal.proposal_id,
-                        response_size=spec.sigma,
-                        origin=None,
-                    )
-                )
+                add(location, rng.uniform(0.1, 0.4), k, proposal.proposal_id, None)
     return candidates
 
 

@@ -19,7 +19,7 @@ two, so scaling by the largest such denominator among a subproblem's weights
 loses nothing. Reduced costs, potentials and path lengths are then plain
 Python integers, so a reduced cost that is zero is exactly zero.
 
-A solve takes two passes of one search routine. The first runs on the exact
+A solve runs one search routine once or twice. The first runs on the exact
 weights alone (cost -exact). Its potentials u, v prove the matching optimal,
 and they describe all optima: a matching is optimal exactly when it uses
 only tight edges (reduced cost zero) and covers every column with v < 0.
@@ -32,25 +32,15 @@ ends (nodes with no arc onward, then nodes whose every arc leads to one)
 leaves a node exactly when a directed cycle exists. With nothing left, as
 with random weights, the first matching is the unique optimum.
 
-Otherwise the tie-break runs only where another optimum can differ. The
-arcs left after trimming lead to a cycle, and every arc on a cycle is among
-them. Each component formed by the matched edges and those arcs is solved
-again, with one integer cost per edge: the exact weight shifted above a
-tie-break payoff. Row r's k-th edge (rows and columns ascending, R rows)
-pays (d_r - k) * B^(R - 1 - r), where d_r is the row's degree and B is a
-power of two above every degree. Matching a row at all, or to an earlier
-column, outweighs every payoff of the later rows together, which is exactly
-the lexicographic order on sorted pair tuples; the shift puts one unit of
-weight above all payoffs together. The refinement is exact. A covered
-column left after trimming keeps an arc of its own row, so a component
-holds every row whose column one of its rows can take. A re-solve sees its
-rows' matched, remaining and slack edges, while every other row keeps its
-first-pass column, so each matching it can return completes to a matching
-of the whole subproblem. Its best exact weight is therefore the optimum's,
-and the matchings that reach it are exactly the parts of optima that lie
-in the component; an optimum is any choice of one such part per component
-with the first matching elsewhere. Both the payoff and the lexicographic
-order separate over independent components.
+Otherwise the whole subproblem is solved again, with one integer cost per
+edge: the exact weight shifted above a tie-break payoff. Row r's k-th edge
+(rows and columns ascending, R rows) pays (d_r - k) * B^(R - 1 - r), where
+d_r is the row's degree and B is a power of two above every degree.
+Matching a row at all, or to an earlier column, outweighs every payoff of
+the later rows together, which is exactly the lexicographic order on sorted
+pair tuples, and the shift puts one unit of weight above all payoffs
+together. So the second pass maximizes the exact weight first and returns
+the lexicographically smallest optimum by construction.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ from dataclasses import dataclass
 from heapq import heappush, heappop
 
 from .graph import PersonJointGraph
-from .grouping import _UnionFind, weighted_center
+from .grouping import weighted_center
 from .joints import JOINT_COUNT, OKS_SIGMAS
 from .metrics import GroundTruthPerson, compute_oks
 
@@ -163,8 +153,8 @@ def _assign(
     # the columns it reached, so it costs those columns, not n_total.
     # pred needs no reset: every column the augmentation walks was reached
     # in that search. The costs are exact integers; the exact-weight pass
-    # keeps them as wide as the weights, and only a refined component pays
-    # for the tie-break payoff, R * bits wider for its R rows.
+    # keeps them as wide as the weights, and only a subproblem with another
+    # optimum pays for the tie-break payoff, R * bits wider for its R rows.
     dist: list[float | int] = [INF] * n_total
     pred = [-1] * n_total
     done = [False] * n_total
@@ -224,21 +214,19 @@ def _assign(
     return col_of_row, row_of_col, u, v
 
 
-def _cycle_arcs(
-    arcs: list[tuple[int, int, int]], row_of_col: list[int], v: list[int]
-) -> list[tuple[int, int, int]]:
-    """The arcs (from_column, to_column, row) that lead to a directed cycle
-    once one hub node joins every free column to every covered column with
-    ``v == 0``: the arcs left after dead ends are trimmed."""
+def _has_cycle(arcs: list[tuple[int, int]], row_of_col: list[int], v: list[int]) -> bool:
+    """Whether the arcs (from_column, to_column) close a directed cycle once
+    one hub node joins every free column to every covered column with
+    ``v == 0``: whether any node is left after dead ends are trimmed."""
     hub = -1
     succ: dict[int, list[int]] = {}
-    for c, j, _ in arcs:
+    for c, j in arcs:
         succ.setdefault(c, []).append(j)
     # Most calls end here: no arc leads on to another arc or to a free column.
-    if not any(j in succ or row_of_col[j] == -1 for _, j, _ in arcs):
-        return []
+    if not any(j in succ or row_of_col[j] == -1 for _, j in arcs):
+        return False
     pred: dict[int, list[int]] = {}
-    for c, j, _ in arcs:
+    for c, j in arcs:
         pred.setdefault(j, []).append(c)
     # Arcs start at covered columns only, so a free column can only end one.
     sources = [c for c in succ if v[c] == 0]
@@ -260,51 +248,7 @@ def _cycle_arcs(
             outdeg[n] -= 1
             if not outdeg[n]:
                 queue.append(n)
-    return [a for a in arcs if outdeg.get(a[1])]
-
-
-def _refine(
-    ambiguous: list[tuple[int, int, int]],
-    col_of_row: list[int],
-    u: list[int],
-    v: list[int],
-    n_cols: int,
-) -> None:
-    """Re-solve, with the tie-break payoff, each component that the matched
-    edges and the ambiguous arcs form, and write its rows' new columns into
-    ``col_of_row``. Row r's slack column is ``n_cols + r``."""
-    # A row is joined to its matched column, so components of columns
-    # suffice: each ambiguous arc joins its two columns.
-    uf = _UnionFind(n_cols + len(col_of_row))
-    for c, j, _ in ambiguous:
-        uf.union(c, j)
-    groups: dict[int, dict[int, list[int]]] = {}
-    for c, j, r in ambiguous:
-        groups.setdefault(uf.find(c), {}).setdefault(r, [c]).append(j)
-
-    for extra in groups.values():
-        rows = sorted(extra)
-        real = {r: sorted(j for j in extra[r] if j < n_cols) for r in rows}
-        cols = sorted({j for js in real.values() for j in js})
-        local = {j: idx for idx, j in enumerate(cols)}
-        n_rows = len(rows)
-        bits = max(len(js) for js in real.values()).bit_length()
-        shift = bits * n_rows
-        adj: list[list[tuple[int, int]]] = []
-        for idx, r in enumerate(rows):
-            degree = len(real[r])
-            edges = []
-            for k, j in enumerate(real[r]):
-                # Matched and ambiguous edges are tight: cost -exact is u + v.
-                exact = -(u[r] + v[j])
-                payoff = (degree - k) << (bits * (n_rows - 1 - idx))
-                edges.append((local[j], -((exact << shift) + payoff)))
-            edges.append((len(cols) + idx, 0))
-            adj.append(edges)
-        sub_col, _, _, _ = _assign(adj, len(cols) + n_rows)
-        for idx, r in enumerate(rows):
-            j = sub_col[idx]
-            col_of_row[r] = cols[j] if j < len(cols) else n_cols + r
+    return any(outdeg.values())
 
 
 def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
@@ -354,10 +298,19 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
         ur = u[r]
         for j, cost in edges:
             if cost - ur == v[j] and j != c:
-                arcs.append((c, j, r))
-    ambiguous = _cycle_arcs(arcs, row_of_col, v)
-    if ambiguous:
-        _refine(ambiguous, col_of_row, u, v, n_cols)
+                arcs.append((c, j))
+    if _has_cycle(arcs, row_of_col, v):
+        # Another optimum exists: solve again with row r's k-th edge paying
+        # (d_r - k) << (bits * (n_rows - 1 - r)) below its shifted weight.
+        bits = (max(len(edges) for edges in adj) - 1).bit_length()
+        shift = bits * n_rows
+        for r, edges in enumerate(adj):
+            degree = len(edges) - 1
+            place = bits * (n_rows - 1 - r)
+            for k in range(degree):
+                j, cost = edges[k]
+                edges[k] = (j, (cost << shift) - ((degree - k) << place))
+        col_of_row, _, _, _ = _assign(adj, n_cols + n_rows)
     pairs = [(rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols]
     total = math.fsum(weights[p] for p in pairs)
     return Matching(pairs=tuple(pairs), total_weight=total)

@@ -433,6 +433,32 @@ def test_deeply_nested_json_is_named_error(tmp_path, capsys, document):
     assert not written.exists()
 
 
+_HUGE_INT = "1" + "0" * 400
+
+
+def test_associate_oversized_integer_is_named_error(tmp_path, capsys):
+    # An integer past the float range once ended as "int too large to
+    # convert to float", naming no field.
+    src = tmp_path / "in.candidates.json"
+    src.write_text(json.dumps(_CANDIDATES).replace('"x": 1.0', f'"x": {_HUGE_INT}'))
+    written = tmp_path / "out.results.json"
+    code, _, stderr = run(capsys, "associate", str(src), "--out", str(written))
+    assert code == 2
+    assert stderr == "error: candidate entry field 'x' is beyond the float range\n"
+    assert not written.exists()
+
+
+def test_config_oversized_integer_is_named_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"sigma": {_HUGE_INT}}}')
+    code, _, stderr = run(
+        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert stderr == "error: config file field 'sigma' is beyond the float range\n"
+    assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
+
+
 def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     out, _ = synth_clean(tmp_path, capsys)
     code, _, stderr = run(
