@@ -64,9 +64,9 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     for key, value in raw.items():
         if key not in _TUPLE_FIELDS:
-            json_numbers(raw, (key,), "config file")
+            json_numbers(raw, ((key, float),), "config file")
         elif isinstance(value, list):
-            json_numbers(value, (key,) * len(value), "config file")
+            json_numbers(value, ((key, float),) * len(value), "config file")
         else:
             raise FormatError(f"config file field '{key}' must be a list of numbers")
     return raw

@@ -11,6 +11,10 @@ Three document kinds move between pipeline stages:
 * results: ``{"image_id", "poses": [{"proposal_id", "score", "keypoints"}]}``
   with 14 entries of [x, y, s] or null.
 
+Every number a document brings in passes ``json_numbers`` with the typed
+field list of its entry kind (``_CANDIDATE_FIELDS`` and its siblings): one
+type test per value, and the one rule in ``_number`` only on a mismatch.
+
 Floats are rounded to 6 decimals on write, so serialize -> parse is the
 identity exactly on objects whose coordinates carry at most 6 decimals and
 re-serializing a parsed document reproduces it byte for byte. Writes go
@@ -161,72 +165,69 @@ def _list(payload: Any, key: str, where: str) -> list:
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+_MISSING = object()
+
+
+def _number(value: Any, key: str, kind: type, where: str) -> int | float:
+    # Called only where ``type(value) is not kind``: name what is wrong, or convert.
+    if value is _MISSING:
+        raise FormatError(f"{where} is missing field '{key}'")
+    if type(value) is not float and type(value) is not int:
+        kind_name = _JSON_TYPES.get(type(value), "null")
+        raise FormatError(f"{where} field '{key}' must be a number, got {kind_name}")
+    if kind is int:
+        if not value.is_integer():
+            raise FormatError(f"{where} field '{key}' must be an integer, got {value}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where} field '{key}' is beyond the float range") from None
 
 
 def json_numbers(
-    payload: Any, keys: Sequence[str], where: str, integers: Sequence[str] = ()
+    payload: Any, fields: Sequence[tuple[str, type]], where: str
 ) -> list[int | float]:
-    """The numbers a JSON object holds under ``keys``, or the items of a list
-    (whose length the caller has checked) named by ``keys``. FormatError
-    names the field that is missing or is not a number: null, strings,
-    lists, objects and booleans are not numbers, and neither is a
-    non-integral value such as 1.5 under one of the ``integers`` keys. An
-    integral float such as 2.0 there is returned as an int, and an int under
-    any other key as a float, which it must fit."""
+    """The numbers a JSON object holds under the keys of ``fields``, or the
+    items of a list (whose length the caller has checked) that ``fields``
+    names in order. Each field pairs a key with ``int`` or ``float``.
+    FormatError names the first field that is missing or is not a number:
+    null, strings, lists, objects and booleans are not numbers, and neither
+    is a non-integral value such as 1.5 in an ``int`` field. An integral
+    float such as 2.0 there is returned as an int, and an int in a ``float``
+    field as a float, which it must fit."""
+    values = []
     if isinstance(payload, dict):
-        values = []
-        for key in keys:
-            value = payload.get(key)
-            if type(value) is not float and (type(value) is not int or key not in integers):
-                break
+        for key, kind in fields:
+            value = payload.get(key, _MISSING)
+            if type(value) is not kind:
+                value = _number(value, key, kind, where)
             values.append(value)
-        else:
-            for key in integers:
-                if type(payload[key]) is float:
-                    break
-            else:
-                return values
     elif isinstance(payload, list):
-        for key, value in zip(keys, payload):
-            if type(value) is not float and (type(value) is not int or key not in integers):
-                break
-        else:
-            for key in integers:
-                if type(payload[keys.index(key)]) is float:
-                    break
-            else:
-                return payload
+        for (key, kind), value in zip(fields, payload):
+            if type(value) is not kind:
+                value = _number(value, key, kind, where)
+            values.append(value)
     else:
         raise FormatError(f"{where} must be a JSON object")
-    # Only on failure or a number of the other kind: name the first field
-    # that is missing, not a number, not integral or past the float range,
-    # else convert.
-    fields = payload if isinstance(payload, dict) else dict(zip(keys, payload))
-    values = []
-    for key in keys:
-        if key not in fields:
-            raise FormatError(f"{where} is missing field '{key}'")
-        value = fields[key]
-        if type(value) is not float and type(value) is not int:
-            kind = _JSON_TYPES.get(type(value), "null")
-            raise FormatError(f"{where} field '{key}' must be a number, got {kind}")
-        if key in integers and type(value) is float and not value.is_integer():
-            raise FormatError(f"{where} field '{key}' must be an integer, got {value}")
-        try:
-            values.append(int(value) if key in integers else float(value))
-        except OverflowError:
-            raise FormatError(f"{where} field '{key}' is beyond the float range") from None
     return values
+
+
+_BOX_FIELDS = (("x", float), ("y", float), ("w", float), ("h", float))
 
 
 def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
     if not isinstance(values, list) or len(values) != 4:
         raise FormatError(f"{where} must be a list of 4 numbers")
-    return tuple(json_numbers(values, ("x", "y", "w", "h"), where))
+    return tuple(json_numbers(values, _BOX_FIELDS, where))
 
 
 # ---------------------------------------------------------------------------
 # annotations
+
+_IMAGE_FIELDS = (("id", int), ("width", int), ("height", int))
+_ANNOTATION_FIELDS = (("image_id", int), ("person_id", int))
+_KEYPOINT_FIELDS = (("x", float), ("y", float), ("v", int))
 
 
 def annotations_to_payload(scenes: Sequence[SceneAnnotation]) -> dict:
@@ -261,18 +262,13 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
     sizes: dict[int, tuple[int, int]] = {}
     persons: dict[int, list[GroundTruthPerson]] = {}
     for entry in images:
-        image_id, width, height = json_numbers(
-            entry, ("id", "width", "height"), "image entry", ("id", "width", "height")
-        )
+        image_id, width, height = json_numbers(entry, _IMAGE_FIELDS, "image entry")
         if image_id in sizes:
             raise FormatError(f"duplicate image id {image_id} in annotations")
         sizes[image_id] = (width, height)
         persons[image_id] = []
     for entry in rows:
-        image_id, person_id = json_numbers(
-            entry, ("image_id", "person_id"), "annotation entry",
-            ("image_id", "person_id"),
-        )
+        image_id, person_id = json_numbers(entry, _ANNOTATION_FIELDS, "annotation entry")
         if image_id not in sizes:
             raise IntegrityError(
                 f"annotation references unknown image_id {image_id}"
@@ -285,9 +281,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
             )
         slots: list[tuple[tuple[float, float], int] | None] = []
         for k in range(JOINT_COUNT):
-            x, y, vis = json_numbers(
-                flat[3 * k : 3 * k + 3], ("x", "y", "v"), "keypoint", ("v",)
-            )
+            x, y, vis = json_numbers(flat[3 * k : 3 * k + 3], _KEYPOINT_FIELDS, "keypoint")
             if vis == 0:
                 slots.append(None)
             elif vis in (1, 2):
@@ -315,7 +309,13 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
 # ---------------------------------------------------------------------------
 # candidates
 
-_CANDIDATE_FIELDS = ("proposal_id", "joint_type", "x", "y", "response", "u")
+_IMAGE_ID_FIELDS = (("image_id", int),)
+_PROPOSAL_FIELDS = (("proposal_id", int), ("score", float))
+_CANDIDATE_FIELDS = (
+    ("proposal_id", int), ("joint_type", int),
+    ("x", float), ("y", float), ("response", float), ("u", float),
+)
+_PROVENANCE_FIELDS = (("person_id", int), ("joint_type", int))
 
 
 def candidates_to_payload(
@@ -356,15 +356,11 @@ def candidates_to_payload(
 def parse_candidates_payload(
     payload: Any,
 ) -> tuple[int, list[PersonProposal], list[CandidateJoint]]:
-    (image_id,) = json_numbers(
-        payload, ("image_id",), "candidates document", ("image_id",)
-    )
+    (image_id,) = json_numbers(payload, _IMAGE_ID_FIELDS, "candidates document")
     proposals = []
     known_ids = set()
     for entry in _list(payload, "proposals", "candidates document"):
-        proposal_id, score = json_numbers(
-            entry, ("proposal_id", "score"), "proposal entry", ("proposal_id",)
-        )
+        proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "proposal entry")
         proposal = PersonProposal(
             proposal_id=proposal_id,
             bbox=_float4(_require(entry, "bbox", "proposal entry"), "bbox"),
@@ -383,7 +379,7 @@ def parse_candidates_payload(
     candidates = []
     for index, entry in enumerate(rows):
         proposal_id, joint_type, x, y, response, size = json_numbers(
-            entry, _CANDIDATE_FIELDS, "candidate entry", ("proposal_id", "joint_type")
+            entry, _CANDIDATE_FIELDS, "candidate entry"
         )
         if proposal_id not in known_ids:
             raise IntegrityError(
@@ -396,10 +392,7 @@ def parse_candidates_payload(
                 raise FormatError(
                     f"provenance entry {index} must be null or [person_id, joint_type]"
                 )
-            person_id, origin_type = json_numbers(
-                pair, ("person_id", "joint_type"), "provenance entry",
-                ("person_id", "joint_type"),
-            )
+            person_id, origin_type = json_numbers(pair, _PROVENANCE_FIELDS, "provenance entry")
             origin = (person_id, origin_type)
         candidates.append(
             CandidateJoint(
@@ -416,6 +409,8 @@ def parse_candidates_payload(
 
 # ---------------------------------------------------------------------------
 # results
+
+_POSE_KEYPOINT_FIELDS = (("x", float), ("y", float), ("s", float))
 
 
 def results_to_payload(image_id: int, poses: Sequence[Pose]) -> dict:
@@ -439,9 +434,7 @@ def results_to_payload(image_id: int, poses: Sequence[Pose]) -> dict:
 
 
 def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
-    (image_id,) = json_numbers(
-        payload, ("image_id",), "results document", ("image_id",)
-    )
+    (image_id,) = json_numbers(payload, _IMAGE_ID_FIELDS, "results document")
     poses = []
     for entry in _list(payload, "poses", "results document"):
         rows = _require(entry, "keypoints", "pose entry")
@@ -454,11 +447,9 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
                 continue
             if not isinstance(row, list) or len(row) != 3:
                 raise FormatError("pose keypoint must be null or [x, y, s]")
-            x, y, score = json_numbers(row, ("x", "y", "s"), "pose keypoint")
+            x, y, score = json_numbers(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
             slots.append(((x, y), score))
-        proposal_id, score = json_numbers(
-            entry, ("proposal_id", "score"), "pose entry", ("proposal_id",)
-        )
+        proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "pose entry")
         poses.append(
             Pose(
                 proposal_id=proposal_id,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import IntegrityError
 from .grouping import JointNode
+from .metrics import check_bbox
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,7 @@ class PersonProposal:
     detection_score: float = 1.0
 
     def __post_init__(self):
-        x, y, w, h = self.bbox
-        if not (math.isfinite(x) and math.isfinite(y) and 0 < w < math.inf
-                and 0 < h < math.inf):
-            raise ValueError(f"bbox must be finite with positive size, got {self.bbox}")
+        check_bbox(self.bbox)
         if not 0.0 <= self.detection_score <= 1.0:
             raise ValueError(
                 f"detection_score must lie in [0, 1], got {self.detection_score}"

@@ -27,6 +27,16 @@ VIS_OCCLUDED = 1
 VIS_VISIBLE = 2
 
 
+def check_bbox(bbox: tuple[float, float, float, float]) -> None:
+    """Raise ValueError unless x and y are finite and w and h are positive
+    with a finite, non-zero product: the area ``bbox_iou`` divides by."""
+    x, y, w, h = bbox
+    # Positive w and h with a finite, non-zero product are both finite.
+    if not (math.isfinite(x) and math.isfinite(y) and w > 0 and h > 0
+            and 0 < w * h < math.inf):
+        raise ValueError(f"bbox must be finite with positive area, got {bbox}")
+
+
 @dataclass(frozen=True)
 class GroundTruthPerson:
     """Annotated person: per-joint (location, visibility) slots and a box.
@@ -41,11 +51,7 @@ class GroundTruthPerson:
     bbox: tuple[float, float, float, float]
 
     def __post_init__(self):
-        x, y, w, h = self.bbox
-        # Positive w and h with a finite, non-zero product are both finite.
-        if not (math.isfinite(x) and math.isfinite(y) and w > 0 and h > 0
-                and 0 < w * h < math.inf):
-            raise ValueError(f"bbox must be finite with positive area, got {self.bbox}")
+        check_bbox(self.bbox)
         for slot in self.keypoints:
             if slot is not None:
                 (px, py), vis = slot

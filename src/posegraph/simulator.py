@@ -189,29 +189,31 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         margin = (high - low) * _BOX_MARGIN
         return np.hstack([low - margin, (high - low) + 2 * margin]), joints
 
-    def achieved(spread: float) -> float:
+    def achieved(spread: float) -> tuple[float, float, float]:
+        """(distance to the target, spread, crowd index) at one spread."""
         index = _crowd_index_of(*layout(spread))
-        return 0.0 if index is None else index
+        index = 0.0 if index is None else index
+        return abs(index - spec.target_crowd_index), spread, index
 
-    best = None
-    for step in range(41):
-        spread = step * 0.05
-        err = abs(achieved(spread) - spec.target_crowd_index)
-        if best is None or err < best[0]:
-            best = (err, spread)
-    for step in range(-5, 6):
+    best = achieved(0.0)
+    for step in range(1, 41):
+        trial = achieved(step * 0.05)
+        if trial[0] < best[0]:
+            best = trial
+    # The fine steps move with the best spread so far; step 0 would only
+    # measure it again.
+    for step in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
         spread = best[1] + step * 0.01
-        if spread < 0:
-            continue
-        err = abs(achieved(spread) - spec.target_crowd_index)
-        if err < best[0]:
-            best = (err, spread)
+        if spread >= 0:
+            trial = achieved(spread)
+            if trial[0] < best[0]:
+                best = trial
 
-    index = achieved(best[1])
+    err, spread, index = best
     return GeneratedScene(
-        annotation=_build_annotation(spec, *layout(best[1])),
+        annotation=_build_annotation(spec, *layout(spread)),
         achieved_crowd_index=index,
-        on_target=abs(index - spec.target_crowd_index) <= 0.1,
+        on_target=err <= 0.1,
     )
 
 

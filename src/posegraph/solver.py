@@ -354,12 +354,12 @@ def build_poses(assignment: Assignment, graph: PersonJointGraph) -> list[Pose]:
 def _poses_from_triples(
     triples: list[tuple[int, int, int]], graph: PersonJointGraph
 ) -> list[Pose]:
-    node_center = {n.node_id: weighted_center(n) for n in graph.nodes}
+    node_of = {n.node_id: n for n in graph.nodes}
     slots: dict[int, list] = {}
     for k, i, j in triples:
         if k >= JOINT_COUNT:
             raise ValueError(f"joint_type {k} out of range for {JOINT_COUNT} joints")
-        slots.setdefault(i, [None] * JOINT_COUNT)[k] = node_center[j]
+        slots.setdefault(i, [None] * JOINT_COUNT)[k] = weighted_center(node_of[j])
     poses = []
     for proposal_id in sorted(slots):
         keypoints = tuple(slots[proposal_id])

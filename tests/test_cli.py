@@ -285,6 +285,20 @@ def test_wrong_json_type_is_named_error(tmp_path, capsys, document, payload, nam
     assert not written.exists()
 
 
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_associate_proposal_box_without_area_is_named_error(tmp_path, capsys, size):
+    # The area of such a box underflows to 0 or overflows to inf; the
+    # proposal was once accepted and reached bbox_iou.
+    src = tmp_path / "in.candidates.json"
+    proposal = {**_PROPOSAL, "bbox": [0, 0, size, size]}
+    src.write_text(json.dumps({**_CANDIDATES, "proposals": [proposal]}))
+    written = tmp_path / "out.results.json"
+    code, _, stderr = run(capsys, "associate", str(src), "--out", str(written))
+    assert code == 2
+    assert stderr.startswith("error: bbox must be finite with positive area")
+    assert not written.exists()
+
+
 def test_associate_dangling_reference_is_integrity_error(tmp_path, capsys):
     src = tmp_path / "dangling.candidates.json"
     src.write_text(json.dumps({

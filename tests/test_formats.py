@@ -10,6 +10,7 @@ from posegraph.formats import (
     annotations_to_payload,
     candidates_to_payload,
     dump_json,
+    json_numbers,
     parse_annotations_payload,
     parse_candidates_payload,
     parse_results_payload,
@@ -164,6 +165,103 @@ def test_integral_floats_in_integer_fields_are_accepted():
     image_id, p2, c2 = parse_candidates_payload(payload)
     assert (image_id, p2, c2) == (3, proposals, candidates)
     assert type(image_id) is int and type(c2[1].joint_type) is int
+
+
+# The least int float() cannot convert: halfway between the largest float,
+# 2**1024 - 2**971, and 2**1024, it rounds to even, which is upwards.
+_FLOAT_LIMIT = 2**1024 - 2**970
+_MISSING = object()
+
+
+def _expected_numbers(fields, values, where):
+    """What json_numbers must give, worked out field by field: the values
+    with exact types, or the message naming the first bad field."""
+    result = []
+    for (key, kind), value in zip(fields, values):
+        if value is _MISSING:
+            return f"{where} is missing field '{key}'"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            kinds = {str: "a string", list: "a list", dict: "an object", bool: "a boolean"}
+            got = kinds.get(type(value), "null")
+            return f"{where} field '{key}' must be a number, got {got}"
+        if kind is int and isinstance(value, float):
+            if value != math.floor(value):
+                return f"{where} field '{key}' must be an integer, got {value}"
+            value = int(value)
+        elif kind is float and isinstance(value, int):
+            if abs(value) >= _FLOAT_LIMIT:
+                return f"{where} field '{key}' is beyond the float range"
+            value = float(value)
+        result.append(value)
+    return result
+
+
+_field_values = st.one_of(
+    st.integers(-(2**60), 2**60),
+    st.integers(_FLOAT_LIMIT - 2, 2**1100),
+    st.integers(-(2**1100), -_FLOAT_LIMIT + 2),
+    st.floats(-1e300, 1e300).map(math.floor).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_schemas = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "v"]), st.sampled_from([int, float])),
+    max_size=6,
+)
+
+
+@given(_schemas, st.dictionaries(st.sampled_from(["a", "b", "v"]), _field_values))
+@example((("v", int), ("v", float)), {"v": 2.0})
+@example((("x", float),), {"x": _FLOAT_LIMIT - 1})
+@example((("x", float),), {"x": _FLOAT_LIMIT})
+@example((("x", int), ("y", int)), {"x": 1.5})
+@example((("x", int),), {"x": True})
+@settings(max_examples=300, deadline=None)
+def test_json_numbers_object_matches_per_field_rule(fields, payload):
+    values = [payload.get(key, _MISSING) for key, _kind in fields]
+    _assert_numbers(fields, payload, values)
+
+
+@st.composite
+def _list_cases(draw):
+    # A list's length is checked by the caller; its schema may repeat a
+    # key, as a config table's (("delta", float),) * 14 does.
+    repeated = st.builds(lambda kind, n: (("v", kind),) * n,
+                         st.sampled_from([int, float]), st.integers(0, 4))
+    fields = draw(_schemas | repeated)
+    size = len(fields)
+    return fields, draw(st.lists(_field_values, min_size=size, max_size=size))
+
+
+@given(_list_cases())
+@example(((("v", int),) * 3, [1, 2.0, 3]))
+@example(((("v", int),) * 3, [1, 2, 3.5]))
+@example(((("v", float),) * 2, [1, -(2**1100)]))
+@settings(max_examples=300, deadline=None)
+def test_json_numbers_list_matches_per_field_rule(case):
+    fields, payload = case
+    _assert_numbers(fields, payload, payload)
+
+
+def _assert_numbers(fields, payload, values):
+    expected = _expected_numbers(fields, values, "entry")
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as caught:
+            json_numbers(payload, fields, "entry")
+        assert str(caught.value) == expected
+    else:
+        got = json_numbers(payload, fields, "entry")
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+
+
+@pytest.mark.parametrize("payload", [None, 3, "text", 2.5])
+def test_json_numbers_needs_an_object_or_a_list(payload):
+    with pytest.raises(FormatError, match="^entry must be a JSON object$"):
+        json_numbers(payload, (("x", float),), "entry")
 
 
 def test_results_round_trip_identity():

@@ -14,6 +14,7 @@ from posegraph.graph import (
     degree_stats,
 )
 from posegraph.grouping import CandidateJoint, JointNode
+from posegraph.metrics import GroundTruthPerson
 
 
 def cand(proposal, response, joint_type=0, x=10.0, y=10.0):
@@ -103,6 +104,20 @@ def test_non_finite_edge_weight_is_rejected(weight):
 def test_proposal_rejects_non_finite_bbox(bbox):
     with pytest.raises(ValueError, match="finite"):
         PersonProposal(proposal_id=0, bbox=bbox)
+
+
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+@pytest.mark.parametrize(
+    "make",
+    [lambda bbox: PersonProposal(proposal_id=0, bbox=bbox),
+     lambda bbox: GroundTruthPerson(person_id=0, keypoints=(None,) * 14, bbox=bbox)],
+    ids=["proposal", "ground-truth"],
+)
+def test_box_area_must_be_positive_and_finite(make, size):
+    # Each side is positive and finite, but the area underflows to 0 or
+    # overflows to inf; bbox_iou then divided by zero or returned nan.
+    with pytest.raises(ValueError, match="bbox must be finite with positive area"):
+        make((0.0, 0.0, size, size))
 
 
 def test_degree_stats_counts_incident_edges():
