@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import FormatError
-from .formats import json_numbers, read_json
+from .formats import json_list, json_numbers, read_json
 from .heatmaps import DEFAULT_SIGMA
 from .joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
 
@@ -66,7 +66,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         if key not in _TUPLE_FIELDS:
             json_numbers(raw, ((key, float),), "config file")
         elif isinstance(value, list):
-            json_numbers(value, ((key, float),) * len(value), "config file")
+            json_list(value, ((key, float),) * len(value), "config file")
         else:
             raise FormatError(f"config file field '{key}' must be a list of numbers")
     return raw

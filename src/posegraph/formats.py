@@ -11,9 +11,11 @@ Three document kinds move between pipeline stages:
 * results: ``{"image_id", "poses": [{"proposal_id", "score", "keypoints"}]}``
   with 14 entries of [x, y, s] or null.
 
-Every number a document brings in passes ``json_numbers`` with the typed
-field list of its entry kind (``_CANDIDATE_FIELDS`` and its siblings): one
-type test per value, and the one rule in ``_number`` only on a mismatch.
+Every number a document brings in passes one reader per JSON shape, with the
+typed field list of its entry kind (``_CANDIDATE_FIELDS`` and its siblings):
+``json_numbers`` reads an object by key, ``json_list`` a list of exactly one
+number per field, and each refuses any other shape by name. Both make one
+type test per value and run the one rule in ``_number`` only on a mismatch.
 
 Floats are rounded to 6 decimals on write, so serialize -> parse is the
 identity exactly on objects whose coordinates carry at most 6 decimals and
@@ -188,38 +190,41 @@ def _number(value: Any, key: str, kind: type, where: str) -> int | float:
 def json_numbers(
     payload: Any, fields: Sequence[tuple[str, type]], where: str
 ) -> list[int | float]:
-    """The numbers a JSON object holds under the keys of ``fields``, or the
-    items of a list (whose length the caller has checked) that ``fields``
-    names in order. Each field pairs a key with ``int`` or ``float``.
-    FormatError names the first field that is missing or is not a number:
-    null, strings, lists, objects and booleans are not numbers, and neither
-    is a non-integral value such as 1.5 in an ``int`` field. An integral
-    float such as 2.0 there is returned as an int, and an int in a ``float``
-    field as a float, which it must fit."""
-    values = []
-    if isinstance(payload, dict):
-        for key, kind in fields:
-            value = payload.get(key, _MISSING)
-            if type(value) is not kind:
-                value = _number(value, key, kind, where)
-            values.append(value)
-    elif isinstance(payload, list):
-        for (key, kind), value in zip(fields, payload):
-            if type(value) is not kind:
-                value = _number(value, key, kind, where)
-            values.append(value)
-    else:
+    """The numbers a JSON object holds under the keys of ``fields``, in
+    order; anything but an object is refused. Each field pairs a key with
+    ``int`` or ``float``. FormatError names the first field that is missing
+    or is not a number: null, strings, lists, objects and booleans are not
+    numbers, and neither is a non-integral value such as 1.5 in an ``int``
+    field. An integral float such as 2.0 there is returned as an int, and an
+    int in a ``float`` field as a float, which it must fit."""
+    if not isinstance(payload, dict):
         raise FormatError(f"{where} must be a JSON object")
+    values = []
+    for key, kind in fields:
+        value = payload.get(key, _MISSING)
+        if type(value) is not kind:
+            value = _number(value, key, kind, where)
+        values.append(value)
+    return values
+
+
+def json_list(
+    payload: Any, fields: Sequence[tuple[str, type]], where: str
+) -> list[int | float]:
+    """The numbers of a JSON list holding exactly one item per field of
+    ``fields``, read by position under ``json_numbers``' rule; the field's
+    key names a bad item."""
+    if not isinstance(payload, list) or len(payload) != len(fields):
+        raise FormatError(f"{where} must be a list of {len(fields)} numbers")
+    values = []
+    for (key, kind), value in zip(fields, payload):
+        if type(value) is not kind:
+            value = _number(value, key, kind, where)
+        values.append(value)
     return values
 
 
 _BOX_FIELDS = (("x", float), ("y", float), ("w", float), ("h", float))
-
-
-def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(values, list) or len(values) != 4:
-        raise FormatError(f"{where} must be a list of 4 numbers")
-    return tuple(json_numbers(values, _BOX_FIELDS, where))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +232,7 @@ def _float4(values: Any, where: str) -> tuple[float, float, float, float]:
 
 _IMAGE_FIELDS = (("id", int), ("width", int), ("height", int))
 _ANNOTATION_FIELDS = (("image_id", int), ("person_id", int))
-_KEYPOINT_FIELDS = (("x", float), ("y", float), ("v", int))
+_KEYPOINT_FIELDS = (("x", float), ("y", float), ("v", int)) * JOINT_COUNT
 
 
 def annotations_to_payload(scenes: Sequence[SceneAnnotation]) -> dict:
@@ -273,27 +278,20 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
             raise IntegrityError(
                 f"annotation references unknown image_id {image_id}"
             )
-        flat = _require(entry, "keypoints", "annotation entry")
-        if not isinstance(flat, list) or len(flat) != 3 * JOINT_COUNT:
-            raise FormatError(
-                f"keypoints must hold {3 * JOINT_COUNT} numbers, "
-                f"got {len(flat) if isinstance(flat, list) else type(flat).__name__}"
-            )
+        flat = json_list(
+            _require(entry, "keypoints", "annotation entry"), _KEYPOINT_FIELDS, "keypoints"
+        )
         slots: list[tuple[tuple[float, float], int] | None] = []
-        for k in range(JOINT_COUNT):
-            x, y, vis = json_numbers(flat[3 * k : 3 * k + 3], _KEYPOINT_FIELDS, "keypoint")
+        for x, y, vis in zip(flat[0::3], flat[1::3], flat[2::3]):
             if vis == 0:
                 slots.append(None)
             elif vis in (1, 2):
                 slots.append(((x, y), vis))
             else:
                 raise FormatError(f"visibility must be 0, 1, or 2, got {vis}")
+        bbox = json_list(_require(entry, "bbox", "annotation entry"), _BOX_FIELDS, "bbox")
         persons[image_id].append(
-            GroundTruthPerson(
-                person_id=person_id,
-                keypoints=tuple(slots),
-                bbox=_float4(_require(entry, "bbox", "annotation entry"), "bbox"),
-            )
+            GroundTruthPerson(person_id=person_id, keypoints=tuple(slots), bbox=tuple(bbox))
         )
     return [
         SceneAnnotation(
@@ -361,10 +359,9 @@ def parse_candidates_payload(
     known_ids = set()
     for entry in _list(payload, "proposals", "candidates document"):
         proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "proposal entry")
+        bbox = json_list(_require(entry, "bbox", "proposal entry"), _BOX_FIELDS, "bbox")
         proposal = PersonProposal(
-            proposal_id=proposal_id,
-            bbox=_float4(_require(entry, "bbox", "proposal entry"), "bbox"),
-            detection_score=score,
+            proposal_id=proposal_id, bbox=tuple(bbox), detection_score=score
         )
         proposals.append(proposal)
         known_ids.add(proposal.proposal_id)
@@ -387,13 +384,8 @@ def parse_candidates_payload(
             )
         origin = None
         if provenance is not None and provenance[index] is not None:
-            pair = provenance[index]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FormatError(
-                    f"provenance entry {index} must be null or [person_id, joint_type]"
-                )
-            person_id, origin_type = json_numbers(pair, _PROVENANCE_FIELDS, "provenance entry")
-            origin = (person_id, origin_type)
+            pair = json_list(provenance[index], _PROVENANCE_FIELDS, "provenance entry")
+            origin = tuple(pair)
         candidates.append(
             CandidateJoint(
                 location=(x, y),
@@ -445,9 +437,7 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
             if row is None:
                 slots.append(None)
                 continue
-            if not isinstance(row, list) or len(row) != 3:
-                raise FormatError("pose keypoint must be null or [x, y, s]")
-            x, y, score = json_numbers(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
+            x, y, score = json_list(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
             slots.append(((x, y), score))
         proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "pose entry")
         poses.append(

@@ -238,9 +238,7 @@ def _ap_and_ar(
     recall = tp / n_gt
     precision = tp / (tp + fp)
     # Precision envelope from the right, then sample at 101 recall points.
-    for i in range(len(precision) - 1, 0, -1):
-        if precision[i] > precision[i - 1]:
-            precision[i - 1] = precision[i]
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     samples = np.zeros(101)
     inds = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
     valid = inds < len(precision)

@@ -157,7 +157,6 @@ def _assign(
     # optimum pays for the tie-break payoff, R * bits wider for its R rows.
     dist: list[float | int] = [INF] * n_total
     pred = [-1] * n_total
-    done = [False] * n_total
 
     for r in range(n_rows):
         heap: list[tuple[int, int]] = []
@@ -169,16 +168,16 @@ def _assign(
         target = -1
         while heap:
             d, j = heappop(heap)
-            if done[j] or d > dist[j]:
+            if d > dist[j]:
                 continue
-            done[j] = True
             if row_of_col[j] == -1:
                 target = j
                 break
             scanned.append(j)
             i2 = row_of_col[j]
             for j2, c in adj[i2]:
-                if done[j2]:
+                # Reduced costs are never negative: a column within d is final.
+                if dist[j2] <= d:
                     continue
                 nd = d + c - u[i2] - v[j2]
                 if nd < dist[j2]:
@@ -200,14 +199,12 @@ def _assign(
             if i == r:
                 break
             j = next_j
-        # Every column given a distance was popped as done (scanned, or the
-        # target) or still has an entry on the heap: a stale entry is only
-        # skipped after a later, shorter entry for its column was pushed.
+        # Every column given a distance was popped (scanned, or the target)
+        # or still has an entry on the heap: a stale entry is only skipped
+        # after a later, shorter entry for its column was pushed.
         for j in scanned:
             dist[j] = INF
-            done[j] = False
         dist[target] = INF
-        done[target] = False
         for _, j in heap:
             dist[j] = INF
 

@@ -250,6 +250,22 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
         ("results", {**_RESULTS, "poses": [{**_POSE, "proposal_id": 0.5,
                                             "keypoints": [None] * 14}]},
          "'proposal_id' must be an integer"),
+        # An entry that must be an object was once read by position when
+        # written as a list: a full one parsed, a short one failed unnamed.
+        ("candidates", {**_CANDIDATES, "candidates": [[0, 0, 1.0, 2.0, 0.5, 2.0]]},
+         "candidate entry must be a JSON object"),
+        ("annotations", {**_ANNOTATIONS, "images": [[0, 640, 480]]},
+         "image entry must be a JSON object"),
+        ("candidates", {**_CANDIDATES, "candidates": [[0]]},
+         "candidate entry must be a JSON object"),
+        ("candidates", {**_CANDIDATES, "proposals": [[0]]},
+         "proposal entry must be a JSON object"),
+        ("annotations", {**_ANNOTATIONS, "images": [[0]]},
+         "image entry must be a JSON object"),
+        ("annotations", {**_ANNOTATIONS, "annotations": [[0]]},
+         "annotation entry must be a JSON object"),
+        ("candidates", [], "candidates document must be a JSON object"),
+        ("results", [], "results document must be a JSON object"),
     ],
     ids=["proposals-number", "provenance-number", "x-list", "image_id-null",
          "bbox-null", "images-number", "keypoint-null", "mu-string", "mu-boolean",
@@ -257,7 +273,10 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
          "joint_type-fraction", "provenance-person_id-fraction",
          "provenance-joint_type-fraction", "image-id-fraction", "width-fraction",
          "height-fraction", "person_id-fraction", "visibility-fraction",
-         "results-image_id-fraction", "pose-proposal_id-fraction"],
+         "results-image_id-fraction", "pose-proposal_id-fraction",
+         "candidate-list", "image-list", "candidate-short-list", "proposal-short-list",
+         "image-short-list", "annotation-short-list", "candidates-empty-list",
+         "results-empty-list"],
 )
 def test_wrong_json_type_is_named_error(tmp_path, capsys, document, payload, named):
     # Each document once raised TypeError (or, for a boolean, was read as a

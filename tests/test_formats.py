@@ -10,6 +10,7 @@ from posegraph.formats import (
     annotations_to_payload,
     candidates_to_payload,
     dump_json,
+    json_list,
     json_numbers,
     parse_annotations_payload,
     parse_candidates_payload,
@@ -223,13 +224,13 @@ _schemas = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_json_numbers_object_matches_per_field_rule(fields, payload):
     values = [payload.get(key, _MISSING) for key, _kind in fields]
-    _assert_numbers(fields, payload, values)
+    _assert_numbers(json_numbers, fields, payload, values)
 
 
 @st.composite
 def _list_cases(draw):
-    # A list's length is checked by the caller; its schema may repeat a
-    # key, as a config table's (("delta", float),) * 14 does.
+    # A list holds one item per field; its schema may repeat a key, as a
+    # config table's (("delta", float),) * 14 does.
     repeated = st.builds(lambda kind, n: (("v", kind),) * n,
                          st.sampled_from([int, float]), st.integers(0, 4))
     fields = draw(_schemas | repeated)
@@ -244,24 +245,33 @@ def _list_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_json_numbers_list_matches_per_field_rule(case):
     fields, payload = case
-    _assert_numbers(fields, payload, payload)
+    _assert_numbers(json_list, fields, payload, payload)
 
 
-def _assert_numbers(fields, payload, values):
+def _assert_numbers(reader, fields, payload, values):
     expected = _expected_numbers(fields, values, "entry")
     if isinstance(expected, str):
         with pytest.raises(FormatError) as caught:
-            json_numbers(payload, fields, "entry")
+            reader(payload, fields, "entry")
         assert str(caught.value) == expected
     else:
-        got = json_numbers(payload, fields, "entry")
+        got = reader(payload, fields, "entry")
         assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
 
 
-@pytest.mark.parametrize("payload", [None, 3, "text", 2.5])
+@pytest.mark.parametrize("payload", [None, 3, "text", 2.5, [], [1.0]])
 def test_json_numbers_needs_an_object_or_a_list(payload):
+    # Only an object: a list, even one of the right numbers, is refused.
     with pytest.raises(FormatError, match="^entry must be a JSON object$"):
         json_numbers(payload, (("x", float),), "entry")
+
+
+@pytest.mark.parametrize(
+    "payload", [None, 3, "text", {"x": 1.0, "y": 2.0}, [], [1.0], [1.0, 2.0, 3.0]]
+)
+def test_json_list_needs_a_list_of_one_number_per_field(payload):
+    with pytest.raises(FormatError, match="^entry must be a list of 2 numbers$"):
+        json_list(payload, (("x", float), ("y", float)), "entry")
 
 
 def test_results_round_trip_identity():
