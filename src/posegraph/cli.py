@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import Config, build_config, load_config_file
-from .errors import FormatError, IntegrityError, UndefinedMetricError
+from .errors import IntegrityError, UndefinedMetricError
 from .formats import (
     annotations_to_payload,
     candidates_to_payload,
@@ -155,13 +155,8 @@ def cmd_associate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations: list[SceneAnnotation] = []
-    seen: set[int] = set()
     for path in _collect(Path(args.annotations), ".annotations.json"):
-        for scene in parse_annotations_payload(read_json(path)):
-            if scene.image_id in seen:
-                raise IntegrityError(f"duplicate image_id {scene.image_id}")
-            seen.add(scene.image_id)
-            annotations.append(scene)
+        annotations.extend(parse_annotations_payload(read_json(path)))
     predictions = {}
     for path in _collect(Path(args.results), ".results.json"):
         image_id, poses = parse_results_payload(read_json(path))
@@ -252,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, FormatError, ValueError, OverflowError) as exc:
+    except (FileNotFoundError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

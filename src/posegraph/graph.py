@@ -101,19 +101,12 @@ def build_graph(
 
     Raises:
         IntegrityError: a member candidate names a proposal that is not in
-            ``proposals``.
+            ``proposals`` (``PersonJointGraph`` refuses the edge).
     """
-    known = {p.proposal_id for p in proposals}
     edges = []
     for node in nodes:
         best: dict[int, float] = {}
         for member in node.members:
-            if member.source_proposal not in known:
-                raise IntegrityError(
-                    f"candidate at {member.location} (joint_type "
-                    f"{member.joint_type}) references unknown proposal "
-                    f"{member.source_proposal}"
-                )
             prev = best.get(member.source_proposal)
             if prev is None or member.response > prev:
                 best[member.source_proposal] = member.response

@@ -55,8 +55,10 @@ class CandidateJoint:
             raise ValueError(
                 f"response_size must be positive and finite, got {self.response_size}"
             )
-        if self.joint_type < 0:
-            raise ValueError(f"joint_type must be non-negative, got {self.joint_type}")
+        if not 0 <= self.joint_type < JOINT_COUNT:
+            raise ValueError(
+                f"joint_type {self.joint_type} out of range for {JOINT_COUNT} joints"
+            )
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,6 @@ def group_candidates(
     """
     by_type: dict[int, list[int]] = {}
     for idx, cand in enumerate(candidates):
-        if cand.joint_type >= JOINT_COUNT:
-            raise ValueError(
-                f"joint_type {cand.joint_type} out of range for {JOINT_COUNT} joints"
-            )
         by_type.setdefault(cand.joint_type, []).append(idx)
 
     uf = _UnionFind(len(candidates))

@@ -72,6 +72,11 @@ class SceneAnnotation:
     height: int = 480
 
     def __post_init__(self):
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError(
+                f"image {self.image_id} width and height must be positive, "
+                f"got {self.width} and {self.height}"
+            )
         ids = [p.person_id for p in self.persons]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate person_id in image {self.image_id}")
@@ -269,9 +274,14 @@ def evaluate(
         EvalReport with mAP/mAR and per-band AP.
 
     Raises:
-        IntegrityError: predictions reference an image id with no annotation.
+        IntegrityError: two annotations share an image id, or predictions
+            reference an image id with no annotation.
     """
-    ann_by_id = {scene.image_id: scene for scene in annotations}
+    ann_by_id: dict[int, SceneAnnotation] = {}
+    for scene in annotations:
+        if scene.image_id in ann_by_id:
+            raise IntegrityError(f"duplicate image_id {scene.image_id}")
+        ann_by_id[scene.image_id] = scene
     for image_id in predictions:
         if image_id not in ann_by_id:
             raise IntegrityError(f"predictions reference unknown image {image_id}")

@@ -272,10 +272,10 @@ def proposal_responsibilities(
     for proposal in proposals:
         best_id = None
         best_key = None
+        px = proposal.bbox[0] + proposal.bbox[2] / 2.0
+        py = proposal.bbox[1] + proposal.bbox[3] / 2.0
         for person in scene.persons:
             iou = bbox_iou(proposal.bbox, person.bbox)
-            px = proposal.bbox[0] + proposal.bbox[2] / 2.0
-            py = proposal.bbox[1] + proposal.bbox[3] / 2.0
             gx = person.bbox[0] + person.bbox[2] / 2.0
             gy = person.bbox[1] + person.bbox[3] / 2.0
             key = (-iou, math.hypot(px - gx, py - gy), person.person_id)

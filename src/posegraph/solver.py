@@ -354,8 +354,6 @@ def _poses_from_triples(
     node_of = {n.node_id: n for n in graph.nodes}
     slots: dict[int, list] = {}
     for k, i, j in triples:
-        if k >= JOINT_COUNT:
-            raise ValueError(f"joint_type {k} out of range for {JOINT_COUNT} joints")
         slots.setdefault(i, [None] * JOINT_COUNT)[k] = weighted_center(node_of[j])
     poses = []
     for proposal_id in sorted(slots):

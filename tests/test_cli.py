@@ -385,6 +385,53 @@ def test_evaluate_duplicate_image_id_is_named_error(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evaluate_duplicate_image_id_across_files_is_integrity_error(tmp_path, capsys):
+    annotations = tmp_path / "annotations"
+    annotations.mkdir()
+    for stem in ("a", "b"):
+        (annotations / f"{stem}.annotations.json").write_text(json.dumps(_ANNOTATIONS))
+    (tmp_path / "in.results.json").write_text(json.dumps(_RESULTS))
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(tmp_path / "in.results.json"),
+        "--annotations", str(annotations),
+    )
+    assert (code, stdout, stderr) == (1, "", "integrity error: duplicate image_id 0\n")
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([_CANDIDATE] * 3 + [{**_CANDIDATE, "proposal_id": 99}],
+         (1, "integrity error: candidate 3 references unknown proposal_id 99\n")),
+        ([_CANDIDATE, {**_CANDIDATE, "joint_type": 14}],
+         (2, "error: joint_type 14 out of range for 14 joints\n")),
+    ],
+    ids=["unknown-proposal", "joint_type-14"],
+)
+def test_associate_bad_candidate_exit_and_message(tmp_path, capsys, rows, expected):
+    path = tmp_path / "in.candidates.json"
+    path.write_text(json.dumps({**_CANDIDATES, "candidates": rows}))
+    written = tmp_path / "out.results.json"
+    code, stdout, stderr = run(capsys, "associate", str(path), "--out", str(written))
+    assert (code, stderr) == expected
+    assert stdout == ""
+    assert not written.exists()
+
+
+def test_evaluate_nonpositive_image_size_is_named_error(tmp_path, capsys):
+    # An image of width -640 and height 0 was once evaluated with exit 0.
+    annotations = {**_ANNOTATIONS, "images": [{"id": 0, "width": -640, "height": 0}]}
+    (tmp_path / "in.annotations.json").write_text(json.dumps(annotations))
+    (tmp_path / "in.results.json").write_text(json.dumps(_RESULTS))
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(tmp_path / "in.results.json"),
+        "--annotations", str(tmp_path / "in.annotations.json"),
+    )
+    assert code == 2
+    assert stderr == "error: image 0 width and height must be positive, got -640 and 0\n"
+    assert stdout == ""
+
+
 def test_evaluate_out_of_range_bbox_is_parse_error(tmp_path, capsys):
     # A width of 1e309 would overflow to inf; evaluate must refuse the file
     # rather than score it.

@@ -353,6 +353,14 @@ def test_weighted_center_stays_inside_member_bbox(seed, count):
     assert score == max(m.response for m in members)
 
 
+@pytest.mark.parametrize("joint_type", [14, -1])
+def test_candidate_joint_type_must_be_in_range(joint_type):
+    # 14 once passed the constructor and failed only in group_candidates.
+    expected = f"^joint_type {joint_type} out of range for 14 joints$"
+    with pytest.raises(ValueError, match=expected):
+        cand(0, 0, joint_type=joint_type)
+
+
 def test_candidate_validation():
     with pytest.raises(ValueError):
         cand(0, 0, response=0.0)

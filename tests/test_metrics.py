@@ -314,6 +314,23 @@ def test_evaluate_rejects_unknown_image():
         evaluate({99: [pose]}, scenes)
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_evaluate_rejects_duplicate_image_id(order):
+    # Two annotations of image 0: evaluate once scored only the later one,
+    # so the result hung on their order.
+    full = _far_apart_scene(0)
+    half = SceneAnnotation(image_id=0, persons=full.persons[:1])
+    scenes = [(full, half)[i] for i in order]
+    with pytest.raises(IntegrityError, match="^duplicate image_id 0$"):
+        evaluate({0: [pose_from(full.persons[0])]}, scenes)
+
+
+@pytest.mark.parametrize("width,height", [(-640, 0), (0, 480), (640, -1)])
+def test_scene_annotation_size_must_be_positive(width, height):
+    with pytest.raises(ValueError, match="width and height must be positive"):
+        SceneAnnotation(image_id=0, persons=(), width=width, height=height)
+
+
 def test_evaluate_interpolated_ap_hand_value():
     # one exact match ranked first, one hopeless prediction second: precision
     # stays 1.0 up to recall 0.5, so 51 of the 101 samples score 1.0
