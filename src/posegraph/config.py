@@ -23,7 +23,7 @@ from .joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
 DEFAULT_MU = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Config:
     mu: float = DEFAULT_MU
     sigma: float = DEFAULT_SIGMA

@@ -269,7 +269,7 @@ def parse_annotations_payload(payload: Any) -> list[SceneAnnotation]:
     for entry in images:
         image_id, width, height = json_numbers(entry, _IMAGE_FIELDS, "image entry")
         if image_id in sizes:
-            raise FormatError(f"duplicate image id {image_id} in annotations")
+            raise IntegrityError(f"duplicate image_id {image_id}")
         sizes[image_id] = (width, height)
         persons[image_id] = []
     for entry in rows:

@@ -16,7 +16,7 @@ from .grouping import JointNode
 from .metrics import check_bbox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersonProposal:
     """Detector output for one person instance.
 
@@ -37,7 +37,7 @@ class PersonProposal:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     proposal: int
     node: int
@@ -49,7 +49,7 @@ class Edge:
             raise ValueError(f"edge weight must be positive and finite, got {self.weight}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PersonJointGraph:
     persons: list[PersonProposal]
     nodes: list[JointNode]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .joints import JOINT_COUNT, JointSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateJoint:
     """One peak read off a proposal's joint heatmap.
 
@@ -61,7 +61,7 @@ class CandidateJoint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointNode:
     """A group of candidate joints standing for one physical joint."""
 

@@ -22,7 +22,7 @@ DEFAULT_WIDTH = 64
 DEFAULT_HEIGHT = 80
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Heatmap:
     """Dense single-channel response grid.
 
@@ -41,7 +41,7 @@ class Heatmap:
             raise ValueError("heatmap values must be finite and non-negative")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CompositeTarget:
     """Training target for one joint channel: full-strength target grid plus
     interference grid attenuated by ``mu``."""

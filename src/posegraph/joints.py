@@ -46,7 +46,7 @@ def default_grouping_deltas() -> tuple[float, ...]:
     return tuple(s / mean for s in OKS_SIGMAS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointSpec:
     """The per-joint control deviation used when clustering candidate joints,
     one entry per joint of the ``JOINT_COUNT``-joint vocabulary."""

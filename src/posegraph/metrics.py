@@ -37,7 +37,7 @@ def check_bbox(bbox: tuple[float, float, float, float]) -> None:
         raise ValueError(f"bbox must be finite with positive area, got {bbox}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthPerson:
     """Annotated person: per-joint (location, visibility) slots and a box.
 
@@ -64,7 +64,7 @@ class GroundTruthPerson:
         return [(k, slot[0]) for k, slot in enumerate(self.keypoints) if slot]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneAnnotation:
     image_id: int
     persons: tuple[GroundTruthPerson, ...]
@@ -82,7 +82,7 @@ class SceneAnnotation:
             raise ValueError(f"duplicate person_id in image {self.image_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     map_50_95: float
     map_50: float

@@ -49,7 +49,7 @@ IMAGE_WIDTH = 640
 IMAGE_HEIGHT = 480
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneSpec:
     """Knobs for one synthetic scene.
 
@@ -93,14 +93,14 @@ class SceneSpec:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedScene:
     annotation: SceneAnnotation
     achieved_crowd_index: float
     on_target: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticScene:
     """Full simulated artifact: ground truth, proposals, candidates, and the
     proposal -> person responsibility map used for accuracy scoring."""

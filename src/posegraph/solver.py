@@ -57,7 +57,7 @@ from .metrics import GroundTruthPerson, compute_oks
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """Solution of one subproblem: selected (row, column) pairs, ascending,
     and their total weight."""
@@ -66,7 +66,7 @@ class Matching:
     total_weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Joint selection across all joint types.
 
@@ -89,7 +89,7 @@ class Assignment:
             seen_node.add(j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Final pose for one proposal: per-joint (location, score) slots, None
     where nothing was assigned, and the mean assigned-joint score."""

@@ -379,8 +379,8 @@ def test_evaluate_duplicate_image_id_is_named_error(tmp_path, capsys):
         capsys, "evaluate", "--results", str(tmp_path / "in.results.json"),
         "--annotations", str(tmp_path / "in.annotations.json"), "--out", str(report),
     )
-    assert code == 2
-    assert stderr == "error: duplicate image id 0 in annotations\n"
+    assert code == 1
+    assert stderr == "integrity error: duplicate image_id 0\n"
     assert "map_50_95" not in stdout
     assert not report.exists()
 

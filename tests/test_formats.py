@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -84,6 +85,13 @@ def test_annotation_rejects_unknown_image():
     payload = annotations_to_payload([sample_scene()])
     payload["annotations"][0]["image_id"] = 99
     with pytest.raises(IntegrityError):
+        parse_annotations_payload(payload)
+
+
+def test_annotation_rejects_duplicate_image_id():
+    scene = dataclasses.replace(sample_scene(), image_id=0)
+    payload = annotations_to_payload([scene, scene])
+    with pytest.raises(IntegrityError, match=r"^duplicate image_id 0$"):
         parse_annotations_payload(payload)
 
 
