@@ -14,12 +14,14 @@ Usage:
 import argparse
 
 from posegraph.heatmaps import (
+    DEFAULT_SIGMA,
     Heatmap,
     compose_training_target,
     extract_peaks,
     jc_loss,
     render_gaussian,
 )
+from posegraph.simulator import DEFAULT_MU
 
 SHADES = " .:-=+*#%@"
 
@@ -34,9 +36,9 @@ def ascii_grid(values, step=2):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mu", type=float, default=0.5,
+    parser.add_argument("--mu", type=float, default=DEFAULT_MU,
                         help="interference attenuation in [0, 1]")
-    parser.add_argument("--sigma", type=float, default=2.0)
+    parser.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     args = parser.parse_args()
 
     target = [(16.0, 40.0)]

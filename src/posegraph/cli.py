@@ -8,6 +8,7 @@ deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,24 +59,22 @@ def _collect(path: Path, suffix: str) -> list[Path]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    flags = {
+        "person_min": args.person_min if args.persons is None else args.persons,
+        "person_max": args.person_max if args.persons is None else args.persons,
+        "target_crowd_index": args.crowd_index,
+        "sigma_noise": args.noise,
+        "fp_rate": args.fp_rate,
+        "missing_rate": args.missing_rate,
+    }
+    # SceneSpec owns every default and range: a bad value stops before any write.
+    given = {name: value for name, value in flags.items() if value is not None}
+    spec = SceneSpec(**given, mu=config.mu, sigma=config.sigma, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    person_min = args.persons if args.persons else args.person_min
-    person_max = args.persons if args.persons else args.person_max
     achieved = []
     for index in range(args.scenes):
-        spec = SceneSpec(
-            person_min=person_min,
-            person_max=person_max,
-            target_crowd_index=args.crowd_index,
-            sigma_noise=args.noise,
-            fp_rate=args.fp_rate,
-            missing_rate=args.missing_rate,
-            mu=config.mu,
-            sigma=config.sigma,
-            seed=args.seed + index,
-        )
-        scene = simulate_scene(spec)
+        scene = simulate_scene(dataclasses.replace(spec, seed=args.seed + index))
         stem = f"scene_{index:03d}"
         write_json_atomic(
             out / f"{stem}.annotations.json",
@@ -183,13 +182,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
-    return value
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posegraph",
@@ -200,18 +192,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate synthetic scene files")
     synth.add_argument("--scenes", type=_positive_int, default=1)
-    synth.add_argument("--persons", type=_positive_int, default=None,
+    synth.add_argument("--persons", type=int,
                        help="exact person count (overrides min/max)")
-    synth.add_argument("--person-min", type=_positive_int, default=2)
-    synth.add_argument("--person-max", type=_positive_int, default=6)
-    synth.add_argument("--crowd-index", type=_unit_interval, default=0.5)
-    synth.add_argument("--noise", type=float, default=0.5,
-                       help="location jitter in pixels")
-    synth.add_argument("--fp-rate", type=_unit_interval, default=0.3)
-    synth.add_argument("--missing-rate", type=_unit_interval, default=0.15)
+    synth.add_argument("--person-min", type=int)
+    synth.add_argument("--person-max", type=int)
+    synth.add_argument("--crowd-index", type=float)
+    synth.add_argument("--noise", type=float, help="location jitter in pixels")
+    synth.add_argument("--fp-rate", type=float)
+    synth.add_argument("--missing-rate", type=float)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--mu", type=_unit_interval, default=None)
-    synth.add_argument("--sigma", type=float, default=None)
+    synth.add_argument("--mu", type=float)
+    synth.add_argument("--sigma", type=float)
     synth.add_argument("--config", default=None)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)

@@ -1,10 +1,10 @@
 """Runtime configuration shared by the pipeline commands.
 
 A single frozen dataclass collects the tunable constants the commands read:
-the interference attenuation ``mu``, the candidate response size ``sigma``,
-the per-type grouping radius table ``delta`` and the OKS falloff constants
-``oks_sigmas``. Values merge with the precedence CLI flags > config file >
-built-in defaults.
+the interference attenuation ``mu`` and response size ``sigma`` (ruled by
+``SceneSpec``), the per-type grouping radius table ``delta`` (ruled by
+``JointSpec``) and the OKS falloff constants ``oks_sigmas``. Values merge
+with the precedence CLI flags > config file > built-in defaults.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from typing import Any
 from .errors import FormatError
 from .formats import json_list, json_numbers, read_json
 from .heatmaps import DEFAULT_SIGMA
-from .joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
-
-DEFAULT_MU = 0.5
+from .joints import JOINT_COUNT, OKS_SIGMAS, JointSpec, default_grouping_deltas
+from .simulator import DEFAULT_MU, SceneSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,16 +32,12 @@ class Config:
     oks_sigmas: tuple[float, ...] = OKS_SIGMAS
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        for name in ("delta", "oks_sigmas"):
-            table = getattr(self, name)
-            if len(table) != JOINT_COUNT:
-                raise ValueError(f"{name} must have {JOINT_COUNT} entries")
-            if not all(0.0 < v < math.inf for v in table):
-                raise ValueError(f"{name} entries must be positive and finite")
+        SceneSpec(mu=self.mu, sigma=self.sigma)
+        JointSpec(delta=self.delta)
+        if len(self.oks_sigmas) != JOINT_COUNT:
+            raise ValueError(f"oks_sigmas must have {JOINT_COUNT} entries")
+        if not all(0.0 < v < math.inf for v in self.oks_sigmas):
+            raise ValueError("oks_sigmas entries must be positive and finite")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Config)}

@@ -19,6 +19,7 @@ import numpy as np
 
 from .grouping import CandidateJoint
 from .graph import PersonProposal
+from .heatmaps import DEFAULT_SIGMA
 from .joints import JOINT_COUNT
 from .metrics import (
     GroundTruthPerson,
@@ -47,6 +48,7 @@ _BOX_EXTENSION = 1.3
 _RESPONSE_FLOOR = 0.01
 IMAGE_WIDTH = 640
 IMAGE_HEIGHT = 480
+DEFAULT_MU = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +59,8 @@ class SceneSpec:
     ``fp_rate`` controls both redundant duplicate proposals and spurious
     candidates; ``missing_rate`` drops a proposal's own-joint detections;
     ``mu`` is the response level of interference candidates; ``sigma`` is
-    the Gaussian response size recorded on every candidate.
+    the Gaussian response size recorded on every candidate. The CLI and
+    ``Config`` check these settings by building one.
     """
 
     person_min: int = 2
@@ -66,8 +69,8 @@ class SceneSpec:
     sigma_noise: float = 0.5
     fp_rate: float = 0.3
     missing_rate: float = 0.15
-    mu: float = 0.5
-    sigma: float = 2.0
+    mu: float = DEFAULT_MU
+    sigma: float = DEFAULT_SIGMA
     seed: int = 0
 
     def __post_init__(self):
@@ -87,8 +90,11 @@ class SceneSpec:
             raise ValueError(
                 f"sigma_noise must be >= 0 and finite, got {self.sigma_noise}"
             )
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0.0 < round(self.sigma, 6) < math.inf:
+            raise ValueError(
+                "sigma must be positive and finite, and above 5e-07 to stay "
+                f"non-zero at the 6 decimals candidate files carry, got {self.sigma}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -219,7 +219,8 @@ def _has_cycle(arcs: list[tuple[int, int]], row_of_col: list[int], v: list[int])
     succ: dict[int, list[int]] = {}
     for c, j in arcs:
         succ.setdefault(c, []).append(j)
-    # Most calls end here: no arc leads on to another arc or to a free column.
+    # No arc leads on to another arc or a free column. This serves small scenes
+    # (82 % of default-scene calls), not crowds (6 of 168 at 30 persons).
     if not any(j in succ or row_of_col[j] == -1 for _, j in arcs):
         return False
     pred: dict[int, list[int]] = {}

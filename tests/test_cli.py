@@ -8,7 +8,8 @@ import pytest
 
 import posegraph
 from posegraph.cli import main
-from posegraph.formats import read_json
+from posegraph.formats import candidates_to_payload, dump_json, read_json
+from posegraph.simulator import SceneSpec, simulate_scene
 
 
 def run(capsys, *argv):
@@ -57,9 +58,71 @@ def test_synth_is_deterministic(tmp_path, capsys):
 
 
 def test_synth_rejects_out_of_range_crowd_index(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--crowd-index", "1.5", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    code, _, stderr = run(
+        capsys, "synth", "--crowd-index", "1.5", "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "target_crowd_index must lie in [0, 1], got 1.5" in stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--fp-rate", "-0.1"], "fp_rate must lie in [0, 1], got -0.1"),
+        (["--missing-rate", "2"], "missing_rate must lie in [0, 1], got 2.0"),
+        (["--persons", "0"], "invalid person count range [0, 0]"),
+        (["--person-min", "7"], "invalid person count range [7, 6]"),
+        (["--person-max", "1"], "invalid person count range [2, 1]"),
+        (["--noise", "nan"], "sigma_noise must be >= 0 and finite, got nan"),
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--mu", "2"], "mu must lie in [0, 1], got 2.0"),
+        (["--sigma", "1e-7"], "above 5e-07 to stay non-zero at the 6 decimals"),
+    ],
+    ids=["fp-rate", "missing-rate", "persons", "person-min",
+         "person-max", "noise", "seed", "mu", "sigma"],
+)
+def test_synth_refuses_a_bad_setting_before_writing(tmp_path, capsys, flags, message):
+    # SceneSpec owns every synth setting; its message names the field, and
+    # the output directory is never created.
+    code, stdout, stderr = run(capsys, "synth", *flags, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert message in stderr
+    assert stdout == ""
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_bad_config_value_names_the_scene_spec_field(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"sigma": 1e-7}')
+    code, _, stderr = run(
+        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert "sigma must be positive and finite, and above 5e-07" in stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_smallest_sigma_round_trips_through_associate(tmp_path, capsys):
+    # 1e-6 is the smallest response size the 6-decimal candidate file keeps.
+    out = tmp_path / "scenes"
+    code, _, _ = run(capsys, "synth", "--sigma", "1e-6", "--seed", "2", "--out", str(out))
+    assert code == 0
+    assert read_json(out / "scene_000.candidates.json")["candidates"][0]["u"] == 1e-6
+    code, _, stderr = run(capsys, "associate", str(out))
+    assert code == 0, stderr
+
+
+def test_synth_defaults_are_the_scene_spec_defaults(tmp_path, capsys):
+    # The CLI keeps no default of its own: no flags write SceneSpec()'s scene.
+    out = tmp_path / "scenes"
+    assert main(["synth", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    scene = simulate_scene(SceneSpec(seed=4))
+    want = candidates_to_payload(
+        scene.annotation.image_id, scene.proposals, scene.candidates
+    )
+    assert (out / "scene_000.candidates.json").read_text() == dump_json(want)
 
 
 def test_associate_directory_end_to_end(tmp_path, capsys):

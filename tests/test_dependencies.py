@@ -5,8 +5,9 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
+
+import pytest
 
 import posegraph
 
@@ -27,6 +28,7 @@ def imported_top_level_names():
 
 
 def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")  # 3.11+; the rest runs on 3.10
     with open(ROOT / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["dependencies"]
     # A requirement string starts with the distribution name.

@@ -46,6 +46,8 @@ def test_spec_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma_noise"):
             SceneSpec(sigma_noise=bad)
+    # 1e-7 is positive but rounds to 0 at the 6 decimals of a candidate file.
+    for bad in (math.nan, math.inf, 0.0, -1.0, 1e-7):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             SceneSpec(sigma=bad)
 
