@@ -8,12 +8,13 @@ deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
 
 from .config import Config, build_config, load_config_file
-from .errors import IntegrityError, UndefinedMetricError
+from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .formats import (
     annotations_to_payload,
     candidates_to_payload,
@@ -25,20 +26,29 @@ from .formats import (
     results_to_payload,
     write_json_atomic,
 )
-from .graph import PersonJointGraph, PersonProposal, build_graph
-from .grouping import CandidateJoint, group_candidates
+from .graph import build_graph
+from .grouping import group_candidates
 from .joints import JointSpec
 from .metrics import SceneAnnotation, evaluate
 from .simulator import SceneSpec, simulate_scene
 from .solver import greedy_baseline, greedy_total_weight, build_poses, solve_graph
 
 
+@contextlib.contextmanager
+def _naming(path: str | Path):
+    """Prefix an error that a file's content causes with the file's path."""
+    try:
+        yield
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _config_from_args(args: argparse.Namespace) -> Config:
-    file_overrides = load_config_file(args.config) if args.config else None
-    cli_overrides = {
-        "mu": getattr(args, "mu", None),
-        "sigma": getattr(args, "sigma", None),
-    }
+    with _naming(args.config):
+        file_overrides = load_config_file(args.config) if args.config else None
+    cli_overrides = {name: getattr(args, name, None) for name in ("mu", "sigma")}
     return build_config(file_overrides, cli_overrides)
 
 
@@ -105,40 +115,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # associate
 
 
-def _associate_one(
-    proposals: list[PersonProposal],
-    candidates: list[CandidateJoint],
-    method: str,
-    spec: JointSpec,
-) -> tuple[list, PersonJointGraph, float]:
-    nodes = group_candidates(candidates, spec)
-    graph = build_graph(proposals, nodes)
-    if method == "global":
-        assignment = solve_graph(graph)
-        poses = build_poses(assignment, graph)
-        total = assignment.total_weight
-    else:
-        poses = greedy_baseline(graph)
-        total = greedy_total_weight(graph)
-    return poses, graph, total
-
-
 def cmd_associate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    spec = JointSpec(delta=config.delta)
-    inputs = _collect(Path(args.input), ".candidates.json")
+    spec = JointSpec(delta=_config_from_args(args).delta)
     out = Path(args.out) if args.out else None
-    for path in inputs:
-        image_id, proposals, candidates = parse_candidates_payload(read_json(path))
-        poses, graph, total = _associate_one(proposals, candidates, args.method, spec)
-        if out is None:
-            target = path.with_name(path.name.replace(".candidates", ".results"))
-        elif len(inputs) > 1 or out.is_dir():
-            out.mkdir(parents=True, exist_ok=True)
-            target = out / path.name.replace(".candidates", ".results")
-        else:
-            target = out
-        write_json_atomic(target, results_to_payload(image_id, poses))
+    into_dir = out is not None and (Path(args.input).is_dir() or out.is_dir())
+    for path in _collect(Path(args.input), ".candidates.json"):
+        with _naming(path):
+            image_id, proposals, candidates = parse_candidates_payload(read_json(path))
+            graph = build_graph(proposals, group_candidates(candidates, spec))
+            if args.method == "global":
+                assignment = solve_graph(graph)
+                poses = build_poses(assignment, graph)
+                total = assignment.total_weight
+            else:
+                poses = greedy_baseline(graph)
+                total = greedy_total_weight(graph)
+            name = path.name.replace(".candidates", ".results")
+            if into_dir:
+                out.mkdir(parents=True, exist_ok=True)
+            target = out / name if into_dir else out or path.with_name(name)
+            write_json_atomic(target, results_to_payload(image_id, poses))
         print(
             f"image {image_id}: proposals={len(graph.persons)} "
             f"nodes={len(graph.nodes)} edges={len(graph.edges)} "
@@ -155,10 +151,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations: list[SceneAnnotation] = []
     for path in _collect(Path(args.annotations), ".annotations.json"):
-        annotations.extend(parse_annotations_payload(read_json(path)))
+        with _naming(path):
+            annotations.extend(parse_annotations_payload(read_json(path)))
     predictions = {}
     for path in _collect(Path(args.results), ".results.json"):
-        image_id, poses = parse_results_payload(read_json(path))
+        with _naming(path):
+            image_id, poses = parse_results_payload(read_json(path))
         if image_id in predictions:
             raise IntegrityError(f"duplicate results for image_id {image_id}")
         predictions[image_id] = poses
@@ -213,8 +211,8 @@ def make_parser() -> argparse.ArgumentParser:
     associate.add_argument("input", help="candidates file or directory")
     associate.add_argument("--method", choices=("global", "greedy"),
                            default="global")
-    associate.add_argument("--out", default=None,
-                           help="results file (single input) or directory")
+    associate.add_argument("--out", default=None, help="results directory if the "
+                           "input or --out is a directory, else results file")
     associate.add_argument("--config", default=None)
     associate.set_defaults(func=cmd_associate)
 

@@ -3,14 +3,14 @@
 A single frozen dataclass collects the tunable constants the commands read:
 the interference attenuation ``mu`` and response size ``sigma`` (ruled by
 ``SceneSpec``), the per-type grouping radius table ``delta`` (ruled by
-``JointSpec``) and the OKS falloff constants ``oks_sigmas``. Values merge
+``JointSpec``) and the OKS falloff constants ``oks_sigmas`` (ruled by
+``metrics.check_oks_sigmas``). Config owns only the merge of file and flags,
 with the precedence CLI flags > config file > built-in defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -18,7 +18,8 @@ from typing import Any
 from .errors import FormatError
 from .formats import json_list, json_numbers, read_json
 from .heatmaps import DEFAULT_SIGMA
-from .joints import JOINT_COUNT, OKS_SIGMAS, JointSpec, default_grouping_deltas
+from .joints import OKS_SIGMAS, JointSpec, default_grouping_deltas
+from .metrics import check_oks_sigmas
 from .simulator import DEFAULT_MU, SceneSpec
 
 
@@ -26,18 +27,13 @@ from .simulator import DEFAULT_MU, SceneSpec
 class Config:
     mu: float = DEFAULT_MU
     sigma: float = DEFAULT_SIGMA
-    delta: tuple[float, ...] = dataclasses.field(
-        default_factory=default_grouping_deltas
-    )
+    delta: tuple[float, ...] = dataclasses.field(default_factory=default_grouping_deltas)
     oks_sigmas: tuple[float, ...] = OKS_SIGMAS
 
     def __post_init__(self):
         SceneSpec(mu=self.mu, sigma=self.sigma)
         JointSpec(delta=self.delta)
-        if len(self.oks_sigmas) != JOINT_COUNT:
-            raise ValueError(f"oks_sigmas must have {JOINT_COUNT} entries")
-        if not all(0.0 < v < math.inf for v in self.oks_sigmas):
-            raise ValueError("oks_sigmas entries must be positive and finite")
+        check_oks_sigmas(self.oks_sigmas)
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Config)}
@@ -53,7 +49,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(raw) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -104,21 +103,16 @@ def dump_json(payload: Any) -> str:
     return _emit_items((payload,), "")[0] + "\n"
 
 
-# mkstemp creates files readable by the owner only; written files get the
-# mode a plain open() would give them.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
 def write_json_atomic(path: str | Path, payload: Any) -> None:
     """Write through a uniquely named temp file in the target's directory,
     synced to disk before it replaces the target; the temp file is removed
-    if anything fails."""
+    if anything fails. It is created with mode 0o666 under the umask in
+    force, so the file gets the mode a plain open() would give it."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, 0o666 & ~_UMASK)
             fh.write(dump_json(payload))
             fh.flush()
             os.fsync(fh.fileno())
@@ -148,7 +142,7 @@ def read_json(path: str | Path) -> Any:
         try:
             return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
         except RecursionError:
-            raise FormatError(f"{path}: JSON nested too deeply") from None
+            raise FormatError("JSON nested too deeply") from None
 
 
 def _require(payload: Any, key: str, where: str) -> Any:

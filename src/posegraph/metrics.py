@@ -37,6 +37,14 @@ def check_bbox(bbox: tuple[float, float, float, float]) -> None:
         raise ValueError(f"bbox must be finite with positive area, got {bbox}")
 
 
+def check_oks_sigmas(sigmas: Sequence[float]) -> None:
+    """Raise ValueError unless there is one positive, finite sigma per joint."""
+    if len(sigmas) != JOINT_COUNT:
+        raise ValueError(f"oks_sigmas must have {JOINT_COUNT} entries")
+    if not all(0.0 < v < math.inf for v in sigmas):
+        raise ValueError("oks_sigmas entries must be positive and finite")
+
+
 @dataclass(frozen=True, slots=True)
 class GroundTruthPerson:
     """Annotated person: per-joint (location, visibility) slots and a box.
@@ -274,9 +282,11 @@ def evaluate(
         EvalReport with mAP/mAR and per-band AP.
 
     Raises:
+        ValueError: sigmas fail ``check_oks_sigmas``.
         IntegrityError: two annotations share an image id, or predictions
             reference an image id with no annotation.
     """
+    check_oks_sigmas(sigmas)
     ann_by_id: dict[int, SceneAnnotation] = {}
     for scene in annotations:
         if scene.image_id in ann_by_id:

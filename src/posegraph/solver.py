@@ -52,7 +52,7 @@ from heapq import heappush, heappop
 from .graph import PersonJointGraph
 from .grouping import weighted_center
 from .joints import JOINT_COUNT, OKS_SIGMAS
-from .metrics import GroundTruthPerson, compute_oks
+from .metrics import GroundTruthPerson, check_oks_sigmas, compute_oks
 
 INF = math.inf
 
@@ -445,6 +445,7 @@ def pose_dedup_baseline(
     """
     if not 0.0 < oks_threshold < 1.0:
         raise ValueError(f"oks_threshold must lie in (0, 1), got {oks_threshold}")
+    check_oks_sigmas(sigmas)
     order = sorted(
         range(len(poses)), key=lambda idx: (-poses[idx].pose_score, poses[idx].proposal_id)
     )

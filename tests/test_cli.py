@@ -223,7 +223,7 @@ def test_associate_non_finite_number_is_parse_error(tmp_path, token):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 2
-    assert f"error: non-finite number {token}" in child.stderr
+    assert f"error: {src}: non-finite number {token}" in child.stderr
     assert not (tmp_path / "bad.results.json").exists()
 
 
@@ -251,7 +251,7 @@ def test_associate_total_weight_overflow_is_named_error(tmp_path, method):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 2
-    assert "error: intermediate overflow in fsum" in child.stderr
+    assert f"error: {src}: intermediate overflow in fsum" in child.stderr
     assert "Traceback" not in child.stderr
     assert not (tmp_path / "huge.results.json").exists()
 
@@ -377,7 +377,7 @@ def test_associate_proposal_box_without_area_is_named_error(tmp_path, capsys, si
     written = tmp_path / "out.results.json"
     code, _, stderr = run(capsys, "associate", str(src), "--out", str(written))
     assert code == 2
-    assert stderr.startswith("error: bbox must be finite with positive area")
+    assert stderr.startswith(f"error: {src}: bbox must be finite with positive area")
     assert not written.exists()
 
 
@@ -392,6 +392,87 @@ def test_associate_dangling_reference_is_integrity_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "associate", str(src))
     assert code == 1
     assert "integrity error" in stderr
+
+
+def test_associate_directory_input_writes_into_a_directory(tmp_path, capsys):
+    # --out was once a directory only when the input held more than one
+    # file: a one-scene directory wrote a file at --out, and once a second
+    # scene was added the same command failed on that file.
+    scenes, results = tmp_path / "scenes", tmp_path / "results"
+    assert main(["synth", "--scenes", "1", "--seed", "3", "--out", str(scenes)]) == 0
+    assert main(["associate", str(scenes), "--out", str(results)]) == 0
+    assert sorted(p.name for p in results.iterdir()) == ["scene_000.results.json"]
+    assert main(["synth", "--scenes", "2", "--seed", "3", "--out", str(scenes)]) == 0
+    assert main(["associate", str(scenes), "--out", str(results)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in results.iterdir()) == [
+        "scene_000.results.json", "scene_001.results.json",
+    ]
+
+
+def test_associate_file_input_writes_the_named_file_or_into_a_directory(
+    tmp_path, capsys
+):
+    scenes, _ = synth_clean(tmp_path, capsys, scenes=1)
+    src = scenes / "scene_000.candidates.json"
+    written, existing = tmp_path / "out.json", tmp_path / "existing"
+    existing.mkdir()
+    assert main(["associate", str(src), "--out", str(written)]) == 0
+    assert main(["associate", str(src), "--out", str(existing)]) == 0
+    capsys.readouterr()
+    assert written.is_file()
+    assert (existing / "scene_000.results.json").read_bytes() == written.read_bytes()
+
+
+def test_associate_error_names_the_file(tmp_path, capsys):
+    # A bad candidate in the second of two scenes once printed only the
+    # constructor's message, after the first scene's results were written.
+    scenes = tmp_path / "scenes"
+    assert main(["synth", "--scenes", "2", "--seed", "3", "--out", str(scenes)]) == 0
+    bad = scenes / "scene_001.candidates.json"
+    doc = read_json(bad)
+    doc["candidates"][83]["response"] = -1
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, _, stderr = run(capsys, "associate", str(scenes), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert stderr == f"error: {bad}: response must be positive and finite, got -1.0\n"
+
+
+@pytest.mark.parametrize(
+    "kind,edit,message",
+    [
+        ("annotations", lambda doc: doc["annotations"][0]["bbox"].__setitem__(2, 0),
+         "bbox must be finite with positive area"),
+        ("results", lambda doc: doc["poses"][0].__setitem__("score", "x"),
+         "pose entry field 'score' must be a number, got a string"),
+    ],
+    ids=["annotations", "results"],
+)
+def test_evaluate_error_names_the_file(tmp_path, capsys, kind, edit, message):
+    out, _ = synth_clean(tmp_path, capsys)
+    assert main(["associate", str(out)]) == 0
+    bad = out / f"scene_001.{kind}.json"
+    doc = read_json(bad)
+    edit(doc)
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(out), "--annotations", str(out)
+    )
+    assert code == 2
+    assert stderr.startswith(f"error: {bad}: {message}")
+    assert stdout == ""
+
+
+def test_config_error_names_the_file_once(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    code, _, stderr = run(
+        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    )
+    assert code == 2
+    assert stderr == f"error: {config}: config file must hold a JSON object\n"
 
 
 def test_evaluate_clean_pipeline_reaches_perfect_map(tmp_path, capsys):
@@ -443,7 +524,7 @@ def test_evaluate_duplicate_image_id_is_named_error(tmp_path, capsys):
         "--annotations", str(tmp_path / "in.annotations.json"), "--out", str(report),
     )
     assert code == 1
-    assert stderr == "integrity error: duplicate image_id 0\n"
+    assert stderr == f"integrity error: {tmp_path / 'in.annotations.json'}: duplicate image_id 0\n"
     assert "map_50_95" not in stdout
     assert not report.exists()
 
@@ -465,9 +546,9 @@ def test_evaluate_duplicate_image_id_across_files_is_integrity_error(tmp_path, c
     "rows,expected",
     [
         ([_CANDIDATE] * 3 + [{**_CANDIDATE, "proposal_id": 99}],
-         (1, "integrity error: candidate 3 references unknown proposal_id 99\n")),
+         (1, "integrity error: {path}: candidate 3 references unknown proposal_id 99\n")),
         ([_CANDIDATE, {**_CANDIDATE, "joint_type": 14}],
-         (2, "error: joint_type 14 out of range for 14 joints\n")),
+         (2, "error: {path}: joint_type 14 out of range for 14 joints\n")),
     ],
     ids=["unknown-proposal", "joint_type-14"],
 )
@@ -476,7 +557,7 @@ def test_associate_bad_candidate_exit_and_message(tmp_path, capsys, rows, expect
     path.write_text(json.dumps({**_CANDIDATES, "candidates": rows}))
     written = tmp_path / "out.results.json"
     code, stdout, stderr = run(capsys, "associate", str(path), "--out", str(written))
-    assert (code, stderr) == expected
+    assert (code, stderr) == (expected[0], expected[1].format(path=path))
     assert stdout == ""
     assert not written.exists()
 
@@ -491,7 +572,8 @@ def test_evaluate_nonpositive_image_size_is_named_error(tmp_path, capsys):
         "--annotations", str(tmp_path / "in.annotations.json"),
     )
     assert code == 2
-    assert stderr == "error: image 0 width and height must be positive, got -640 and 0\n"
+    assert stderr == (f"error: {tmp_path / 'in.annotations.json'}: "
+                      "image 0 width and height must be positive, got -640 and 0\n")
     assert stdout == ""
 
 
@@ -544,7 +626,9 @@ def test_evaluate_zero_area_bbox_is_named_error(tmp_path, capsys):
         tmp_path, capsys, person, [[1.0, 1.0, 1.0]] * 14
     )
     assert code == 2
-    assert stderr.startswith("error: bbox must be finite with positive area")
+    assert stderr.startswith(
+        f"error: {tmp_path / 'in.annotations.json'}: bbox must be finite with positive area"
+    )
     assert "map_50_95" not in stdout
 
 
@@ -587,7 +671,7 @@ def test_associate_oversized_integer_is_named_error(tmp_path, capsys):
     written = tmp_path / "out.results.json"
     code, _, stderr = run(capsys, "associate", str(src), "--out", str(written))
     assert code == 2
-    assert stderr == "error: candidate entry field 'x' is beyond the float range\n"
+    assert stderr == f"error: {src}: candidate entry field 'x' is beyond the float range\n"
     assert not written.exists()
 
 
@@ -598,7 +682,7 @@ def test_config_oversized_integer_is_named_error(tmp_path, capsys):
         capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
     )
     assert code == 2
-    assert stderr == "error: config file field 'sigma' is beyond the float range\n"
+    assert stderr == f"error: {config}: config file field 'sigma' is beyond the float range\n"
     assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
 
 

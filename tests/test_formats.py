@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -382,6 +384,21 @@ def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path):
     target = tmp_path / "doc.json"
     write_json_atomic(target, {})
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_atomic_write_follows_the_umask_in_force(tmp_path):
+    # The umask was once read at import, so a later, stricter umask gave a
+    # file more readable than a plain open() would make it.
+    previous = os.umask(0o077)
+    try:
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        target = tmp_path / "doc.json"
+        write_json_atomic(target, {})
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o600
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -325,6 +325,25 @@ def test_evaluate_rejects_duplicate_image_id(order):
         evaluate({0: [pose_from(full.persons[0])]}, scenes)
 
 
+@pytest.mark.parametrize(
+    "sigmas,message",
+    [
+        ((math.inf,) * 14, "positive and finite"),
+        ((math.nan,) * 14, "positive and finite"),
+        ((0.0,) * 14, "positive and finite"),
+        ((0.05,) * 13 + (-0.05,), "positive and finite"),
+        ((0.05,) * 20, "must have 14 entries"),
+    ],
+    ids=["inf", "nan", "zero", "negative", "twenty"],
+)
+def test_evaluate_checks_oks_sigmas(sigmas, message):
+    # Only Config checked sigmas; a library call with infinite sigmas scored
+    # any prediction, however far, as a match.
+    scene = _far_apart_scene(0)
+    with pytest.raises(ValueError, match=message):
+        evaluate({0: [pose_from(scene.persons[0])]}, [scene], sigmas=sigmas)
+
+
 @pytest.mark.parametrize("width,height", [(-640, 0), (0, 480), (640, -1)])
 def test_scene_annotation_size_must_be_positive(width, height):
     with pytest.raises(ValueError, match="width and height must be positive"):

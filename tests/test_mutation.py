@@ -3,7 +3,8 @@
 Each example takes a valid candidates, annotations or results file made from
 a small synth scene, sets one leaf or container of it to a value from a fixed
 pool, and runs ``cli.main`` in-process on the result. Every outcome must be
-an exit code (0, 1 or 2); a traceback fails the test.
+an exit code (0, 1 or 2); a traceback fails the test, and so does an exit-2
+message that does not name the mutated file.
 """
 
 import contextlib
@@ -23,9 +24,9 @@ POOL = (None, True, "x", [], {}, -1, 0, 1.5, 1e308, -0.0, 10**400)
 
 
 def _run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        return main(list(argv)), stderr.getvalue()
 
 
 def _paths(doc, prefix=()):
@@ -52,8 +53,8 @@ def workdir():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         scenes = root / "scenes"
-        assert _run("synth", "--persons", "2", "--seed", "3", "--out", str(scenes)) == 0
-        assert _run("associate", str(scenes)) == 0
+        assert _run("synth", "--persons", "2", "--seed", "3", "--out", str(scenes))[0] == 0
+        assert _run("associate", str(scenes))[0] == 0
         yield root
 
 
@@ -76,6 +77,9 @@ def test_one_mutated_value_never_escapes_main(workdir, kind):
     @given(path=st.sampled_from(paths), value=st.sampled_from(POOL))
     def check(path, value):
         target.write_text(json.dumps(_replaced(valid, path, value)))
-        assert _run(*COMMANDS[kind](workdir, target)) in (0, 1, 2)
+        code, stderr = _run(*COMMANDS[kind](workdir, target))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stderr.startswith(f"error: {target}: "), stderr
 
     check()

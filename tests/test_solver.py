@@ -719,3 +719,9 @@ def test_pose_dedup_keeps_distinct_poses():
 def test_pose_dedup_threshold_range():
     with pytest.raises(ValueError):
         pose_dedup_baseline([], oks_threshold=1.0)
+
+
+def test_pose_dedup_checks_oks_sigmas():
+    a = _pose_at(10.0, 10.0, 0, 0.9)
+    with pytest.raises(ValueError, match="positive and finite"):
+        pose_dedup_baseline([a], sigmas=(float("inf"),) * 14)
