@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import Config, build_config, load_config_file
+from .config import Config, load_config_file
 from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .formats import (
     annotations_to_payload,
@@ -46,10 +46,10 @@ def _naming(path: str | Path):
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
+    if not args.config:
+        return Config()
     with _naming(args.config):
-        file_overrides = load_config_file(args.config) if args.config else None
-    cli_overrides = {name: getattr(args, name, None) for name in ("mu", "sigma")}
-    return build_config(file_overrides, cli_overrides)
+        return load_config_file(args.config)
 
 
 def _collect(path: Path, suffix: str) -> list[Path]:
@@ -76,10 +76,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "sigma_noise": args.noise,
         "fp_rate": args.fp_rate,
         "missing_rate": args.missing_rate,
+        "mu": args.mu,
+        "sigma": args.sigma,
     }
     # SceneSpec owns every default and range: a bad value stops before any write.
+    # A flag overrides the config file, which overrides the default.
     given = {name: value for name, value in flags.items() if value is not None}
-    spec = SceneSpec(**given, mu=config.mu, sigma=config.sigma, seed=args.seed)
+    spec = SceneSpec(**{"mu": config.mu, "sigma": config.sigma, **given}, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     achieved = []

@@ -60,6 +60,8 @@ class GroundTruthPerson:
 
     def __post_init__(self):
         check_bbox(self.bbox)
+        if len(self.keypoints) != JOINT_COUNT:
+            raise ValueError(f"person keypoints must hold {JOINT_COUNT} entries")
         for slot in self.keypoints:
             if slot is not None:
                 (px, py), vis = slot

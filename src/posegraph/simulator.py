@@ -74,6 +74,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("person_min", "person_max", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.person_min < 1 or self.person_max < self.person_min:
             raise ValueError(
                 f"invalid person count range [{self.person_min}, {self.person_max}]"

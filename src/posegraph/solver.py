@@ -99,6 +99,8 @@ class Pose:
     pose_score: float
 
     def __post_init__(self):
+        if len(self.keypoints) != JOINT_COUNT:
+            raise ValueError(f"pose keypoints must hold {JOINT_COUNT} entries")
         if not any(slot is not None for slot in self.keypoints):
             raise ValueError("a pose needs at least one keypoint")
 

@@ -710,6 +710,46 @@ def test_cli_flag_overrides_config_file(tmp_path, capsys):
     assert (a / name).read_bytes() != (c / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("synth", {"mu": 2}, "mu must lie in [0, 1], got 2.0"),
+        ("associate", {"delta": [0.0] * 14}, "every delta entry must be positive"),
+        ("evaluate", {"oks_sigmas": [0.1, 0.1]}, "oks_sigmas must have 14 entries"),
+    ],
+)
+def test_config_range_error_names_the_file(tmp_path, capsys, command, config, message):
+    # Config checks its ranges while the file is read, so the message names it.
+    scenes, _ = synth_clean(tmp_path, capsys)
+    assert main(["associate", str(scenes)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = {
+        "synth": ["--out", str(tmp_path / "x")],
+        "associate": [str(scenes), "--out", str(tmp_path / "x")],
+        "evaluate": ["--results", str(scenes), "--annotations", str(scenes),
+                     "--out", str(tmp_path / "x")],
+    }[command]
+    code, stdout, stderr = run(capsys, command, "--config", str(path), *argv)
+    assert code == 2
+    assert stderr.startswith(f"error: {path}: {message}")
+    assert stdout == ""
+    assert not (tmp_path / "x").exists()
+
+
+def test_flag_does_not_excuse_a_bad_config_file(tmp_path, capsys):
+    # The file is checked whole, even where a flag overrides its value.
+    path = tmp_path / "config.json"
+    path.write_text('{"mu": 2}')
+    code, _, stderr = run(
+        capsys, "synth", "--config", str(path), "--mu", "0.3", "--out", str(tmp_path / "y")
+    )
+    assert code == 2
+    assert stderr == f"error: {path}: mu must lie in [0, 1], got 2.0\n"
+    assert not (tmp_path / "y").exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"muu": 0.9}')

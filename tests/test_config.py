@@ -39,7 +39,22 @@ def test_validation_rejects_out_of_range(field, value):
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"mu": 0.25, "sigma": 3.0}')
-    assert load_config_file(path) == {"mu": 0.25, "sigma": 3.0}
+    assert load_config_file(path) == Config(mu=0.25, sigma=3.0)
+
+
+def test_load_config_file_reads_an_integer_as_a_float(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mu": 1, "delta": [2] * JOINT_COUNT}))
+    config = load_config_file(path)
+    assert type(config.mu) is float and config.mu == 1.0
+    assert all(type(v) is float for v in config.delta)
+
+
+def test_load_config_file_checks_ranges(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"mu": 2}')
+    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 2.0"):
+        load_config_file(path)
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
@@ -67,14 +82,11 @@ def test_load_config_file_rejects_non_finite_token(tmp_path):
         load_config_file(path)
 
 
-def test_precedence_cli_over_file_over_defaults():
-    config = build_config(
-        file_overrides={"mu": 0.25, "sigma": 3.0},
-        cli_overrides={"mu": 0.75, "sigma": None},
-    )
-    assert config.mu == 0.75       # CLI wins
-    assert config.sigma == 3.0     # None means the flag was not given
-    assert config.delta == default_grouping_deltas()  # neither layer set it
+def test_build_config_without_overrides_is_the_default():
+    assert build_config() == Config()
+    config = build_config(file_overrides={"mu": 0.25})
+    assert config.mu == 0.25
+    assert config.delta == default_grouping_deltas()  # the file did not set it
 
 
 def test_build_config_converts_tables_to_tuples():
@@ -84,7 +96,7 @@ def test_build_config_converts_tables_to_tuples():
 
 def test_build_config_rejects_unknown_override():
     with pytest.raises(ValueError):
-        build_config(cli_overrides={"bogus": 1})
+        build_config({"bogus": 1})
 
 
 def test_config_is_frozen():

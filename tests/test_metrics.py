@@ -56,6 +56,13 @@ def test_ground_truth_rejects_non_finite_numbers(bbox, joint):
         gt_person([(0, joint)], bbox)
 
 
+@pytest.mark.parametrize("count", [0, 1, 13, 15, 20])
+def test_ground_truth_holds_one_slot_per_joint_type(count):
+    with pytest.raises(ValueError, match="person keypoints must hold 14 entries"):
+        GroundTruthPerson(person_id=0, keypoints=(((1.0, 1.0), 2),) * count,
+                          bbox=(0.0, 0.0, 10.0, 10.0))
+
+
 def test_bbox_iou_identical():
     assert bbox_iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
 

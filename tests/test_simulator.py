@@ -30,6 +30,17 @@ from posegraph.solver import solve_graph
 CLEAN = dict(sigma_noise=0.0, fp_rate=0.0, missing_rate=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", 1.5), ("seed", 2.0), ("seed", True), ("person_min", 2.5),
+     ("person_max", 3.0), ("person_max", None)],
+)
+def test_spec_counts_and_seed_must_be_integers(field, value):
+    # numpy's generator needs an integer seed, and a person count is a count.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SceneSpec(**{field: value})
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SceneSpec(target_crowd_index=1.5)

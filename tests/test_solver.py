@@ -652,6 +652,14 @@ def test_pose_needs_a_keypoint():
         Pose(proposal_id=0, keypoints=(None,) * 14, pose_score=0.0)
 
 
+@pytest.mark.parametrize("count", [0, 1, 13, 15, 20])
+def test_pose_holds_one_slot_per_joint_type(count):
+    # evaluate and pose_dedup_baseline index a pose by joint type, so a pose of
+    # another length must be refused where it is built.
+    with pytest.raises(ValueError, match="pose keypoints must hold 14 entries"):
+        Pose(proposal_id=0, keypoints=(((1.0, 2.0), 0.5),) * count, pose_score=0.5)
+
+
 def _pipeline_graph():
     proposals = [
         PersonProposal(proposal_id=0, bbox=(0.0, 0.0, 50.0, 100.0)),
