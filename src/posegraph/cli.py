@@ -157,12 +157,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with _naming(path):
             annotations.extend(parse_annotations_payload(read_json(path)))
     predictions = {}
+    source_of: dict[int, Path] = {}
     for path in _collect(Path(args.results), ".results.json"):
         with _naming(path):
             image_id, poses = parse_results_payload(read_json(path))
         if image_id in predictions:
-            raise IntegrityError(f"duplicate results for image_id {image_id}")
+            raise IntegrityError(
+                f"duplicate results for image_id {image_id} in {source_of[image_id]} and {path}"
+            )
         predictions[image_id] = poses
+        source_of[image_id] = path
     report = evaluate(predictions, annotations, sigmas=config.oks_sigmas)
     for key, value in report.to_dict().items():
         print(f"{key:12s} {value:.4f}")

@@ -78,6 +78,12 @@ class SceneSpec:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in (
+            "target_crowd_index", "sigma_noise", "fp_rate", "missing_rate", "mu", "sigma"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.person_min < 1 or self.person_max < self.person_min:
             raise ValueError(
                 f"invalid person count range [{self.person_min}, {self.person_max}]"

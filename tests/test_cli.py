@@ -542,6 +542,24 @@ def test_evaluate_duplicate_image_id_across_files_is_integrity_error(tmp_path, c
     assert (code, stdout, stderr) == (1, "", "integrity error: duplicate image_id 0\n")
 
 
+def test_evaluate_duplicate_results_names_both_files(tmp_path, capsys):
+    out, _ = synth_clean(tmp_path, capsys)
+    results = tmp_path / "results"
+    assert main(["associate", str(out), "--out", str(results)]) == 0
+    capsys.readouterr()
+    first = results / "scene_000.results.json"
+    copy = results / "scene_000_copy.results.json"
+    copy.write_bytes(first.read_bytes())
+    image_id = read_json(first)["image_id"]
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(results), "--annotations", str(out)
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"integrity error: duplicate results for image_id {image_id} in {first} and {copy}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "rows,expected",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,23 @@ def test_spec_counts_and_seed_must_be_integers(field, value):
     # numpy's generator needs an integer seed, and a person count is a count.
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SceneSpec(**{field: value})
+
+
+FLOAT_FIELDS = ("target_crowd_index", "sigma_noise", "fp_rate", "missing_rate", "mu", "sigma")
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_spec_float_fields_must_be_numbers(field, value):
+    # A range check alone would read True as 1 and False as 0.
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        SceneSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_spec_float_fields_take_ints_and_floats(field):
+    assert getattr(SceneSpec(**{field: 1}), field) == 1
+    assert getattr(SceneSpec(**{field: np.float64(0.5)}), field) == 0.5
 
 
 def test_spec_validation():

@@ -406,6 +406,9 @@ WEIGHT_DRAWS = {
     "levels": lambda rng: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)),
     "six_decimals": lambda rng: round(rng.random(), 6),
     "extremes": lambda rng: rng.choice((5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e300)),
+    # Weights one ulp apart: the row reduction meets ties and columns whose
+    # potential can fall by a single unit, in both passes.
+    "near_ties": lambda rng: rng.choice((0.5, math.nextafter(0.5, 1.0))),
 }
 
 
@@ -528,6 +531,16 @@ def test_random_ring_is_solved_in_one_pass(size):
     with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
         solve_subgraph(weights)
     assert spy.call_count == 1
+
+
+def test_row_reduction_leaves_few_rows_to_search():
+    # Augmenting row reduction matches most rows before any shortest-path
+    # search, so the searches push fewer heap entries than the ring has
+    # edges. Every row searching from scratch pushes 4,278 here.
+    weights = _ring_weights(400, np.random.default_rng((0, 400)))
+    with mock.patch.object(posegraph.solver, "heappush", wraps=heappush) as pushes:
+        solve_subgraph(weights)
+    assert pushes.call_count < len(weights)
 
 
 @pytest.mark.parametrize(
