@@ -152,15 +152,28 @@ def cmd_associate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    # metrics.evaluate owns the image-id rules; the checks here only name
+    # the files that break them.
     annotations: list[SceneAnnotation] = []
+    annotated_in: dict[int, Path] = {}
     for path in _collect(Path(args.annotations), ".annotations.json"):
         with _naming(path):
-            annotations.extend(parse_annotations_payload(read_json(path)))
+            scenes = parse_annotations_payload(read_json(path))
+        for scene in scenes:
+            if scene.image_id in annotated_in:
+                raise IntegrityError(
+                    f"duplicate image_id {scene.image_id} in {annotated_in[scene.image_id]}"
+                    f" and {path}"
+                )
+            annotated_in[scene.image_id] = path
+        annotations.extend(scenes)
     predictions = {}
     source_of: dict[int, Path] = {}
     for path in _collect(Path(args.results), ".results.json"):
         with _naming(path):
             image_id, poses = parse_results_payload(read_json(path))
+            if image_id not in annotated_in:
+                raise IntegrityError(f"predictions reference unknown image {image_id}")
         if image_id in predictions:
             raise IntegrityError(
                 f"duplicate results for image_id {image_id} in {source_of[image_id]} and {path}"

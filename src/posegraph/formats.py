@@ -423,24 +423,19 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
     (image_id,) = json_numbers(payload, _IMAGE_ID_FIELDS, "results document")
     poses = []
     for entry in _list(payload, "poses", "results document"):
-        rows = _require(entry, "keypoints", "pose entry")
-        if not isinstance(rows, list) or len(rows) != JOINT_COUNT:
-            raise FormatError(f"pose keypoints must hold {JOINT_COUNT} entries")
         slots: list[tuple[tuple[float, float], float] | None] = []
-        for row in rows:
+        for row in _list(entry, "keypoints", "pose entry"):
             if row is None:
                 slots.append(None)
                 continue
             x, y, score = json_list(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
             slots.append(((x, y), score))
         proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "pose entry")
-        poses.append(
-            Pose(
-                proposal_id=proposal_id,
-                keypoints=tuple(slots),
-                pose_score=score,
-            )
-        )
+        try:
+            # Pose owns the slot count; a file that breaks it is malformed.
+            poses.append(Pose(proposal_id=proposal_id, keypoints=tuple(slots), pose_score=score))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
     return image_id, poses
 
 

@@ -446,8 +446,12 @@ def test_associate_error_names_the_file(tmp_path, capsys):
          "bbox must be finite with positive area"),
         ("results", lambda doc: doc["poses"][0].__setitem__("score", "x"),
          "pose entry field 'score' must be a number, got a string"),
+        ("results", lambda doc: doc["poses"][0]["keypoints"].pop(),
+         "pose keypoints must hold 14 entries"),
+        ("results", lambda doc: doc["poses"][0].__setitem__("keypoints", 5),
+         "pose entry field 'keypoints' must be a list"),
     ],
-    ids=["annotations", "results"],
+    ids=["annotations", "results", "results-keypoint-count", "results-keypoints-not-list"],
 )
 def test_evaluate_error_names_the_file(tmp_path, capsys, kind, edit, message):
     out, _ = synth_clean(tmp_path, capsys)
@@ -539,7 +543,23 @@ def test_evaluate_duplicate_image_id_across_files_is_integrity_error(tmp_path, c
         capsys, "evaluate", "--results", str(tmp_path / "in.results.json"),
         "--annotations", str(annotations),
     )
-    assert (code, stdout, stderr) == (1, "", "integrity error: duplicate image_id 0\n")
+    first, second = (annotations / f"{stem}.annotations.json" for stem in ("a", "b"))
+    assert (code, stdout, stderr) == (
+        1, "", f"integrity error: duplicate image_id 0 in {first} and {second}\n"
+    )
+
+
+def test_evaluate_unknown_image_names_the_results_file(tmp_path, capsys):
+    (tmp_path / "in.annotations.json").write_text(json.dumps(_ANNOTATIONS))
+    results = tmp_path / "in.results.json"
+    results.write_text(json.dumps({**_RESULTS, "image_id": 7}))
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(results),
+        "--annotations", str(tmp_path / "in.annotations.json"),
+    )
+    assert (code, stdout, stderr) == (
+        1, "", f"integrity error: {results}: predictions reference unknown image 7\n"
+    )
 
 
 def test_evaluate_duplicate_results_names_both_files(tmp_path, capsys):

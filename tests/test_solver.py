@@ -555,10 +555,14 @@ def test_simulated_scene_is_solved_in_one_pass_per_subproblem(spec):
     graph = build_graph(list(scene.proposals), nodes)
     with mock.patch.object(
         posegraph.solver, "solve_subgraph", wraps=solve_subgraph
-    ) as subproblems, mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+    ) as subproblems, mock.patch.object(
+        posegraph.solver, "_assign", wraps=_assign
+    ) as spy, mock.patch.object(posegraph.solver, "heappush", wraps=heappush) as pushes:
         solve_graph(graph)
     assert subproblems.call_count >= 10
     assert spy.call_count == subproblems.call_count
+    # Row reduction leaves almost no row to search.
+    assert pushes.call_count < len(graph.edges) / 10
 
 
 @given(
