@@ -10,8 +10,8 @@ problems", Computing 38, 1987). Summing the per-type optima is exact because
 the subproblems share no variables.
 
 The routine starts with Jonker and Volgenant's augmenting row reduction: each
-row in turn claims its cheapest column and raises that column's price until
-the row's second-best column costs as much, so a later row claims the column
+row in turn claims its cheapest column and raises that column's price to one
+unit short of the row's second-best column, so a later row claims the column
 only if it gains more. This cheap pass matches most rows of a sparse instance
 (it leaves 33 to 53 of the 1,600 rows of a random degree-4 ring free); a
 Dijkstra search over reduced costs then places each row it left free. Both
@@ -33,14 +33,17 @@ A solve runs one search routine once or twice. The first runs on the exact
 weights alone (cost -exact). Its potentials u, v prove the matching optimal,
 and they describe all optima: a matching is optimal exactly when it uses
 only tight edges (reduced cost zero) and covers every column with v < 0.
-Another optimum differs from the first by tight alternating cycles, and by
-tight alternating paths from a covered column with v == 0 to a free column.
-Draw an arc from each row's column to each of its other tight columns, and
-join every free column through one hub node to every covered column with
-v == 0: those cycles and paths are then the directed cycles. Trimming dead
-ends (nodes with no arc onward, then nodes whose every arc leads to one)
-leaves a node exactly when a directed cycle exists. With nothing left, as
-with random weights, the first matching is the unique optimum.
+By complementary slackness this holds for every optimal pair of
+potentials, so the test below answers the same for any of them, only with
+fewer arcs where fewer edges are tight. Another optimum differs from the
+first by tight alternating cycles, and by tight alternating paths from a
+covered column with v == 0 to a free column. Draw an arc from each row's
+column to each of its other tight columns, and join every free column
+through one hub node to every covered column with v == 0: those cycles and
+paths are then the directed cycles. Trimming dead ends (nodes with no arc
+onward, then nodes whose every arc leads to one) leaves a node exactly
+when a directed cycle exists. With no arc, as on most subproblems of a
+simulated scene, or nothing left, the first matching is the unique optimum.
 
 Otherwise the whole subproblem is solved again, with one integer cost per
 edge: the exact weight shifted above a tie-break payoff. Row r's k-th edge
@@ -116,29 +119,6 @@ class Pose:
             raise ValueError("a pose needs at least one keypoint")
 
 
-def _exact_entries(weights: dict[tuple[int, int], float]) -> list[tuple[int, int, int]]:
-    """Positive entries as (row, column, exact), ascending by (row, column).
-    ``exact`` is the weight counted in the finest binary unit among the
-    weights (every float is an integer over a power of two), so integer sums
-    of it compare exactly where float sums can round to a tie.
-
-    Raises:
-        ValueError: any negative or non-finite weight.
-    """
-    entries = []
-    unit = 1
-    for (i, j), w in weights.items():
-        if not 0 <= w < INF:
-            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
-        if w > 0:
-            n, d = w.as_integer_ratio()
-            if d > unit:
-                unit = d
-            entries.append((i, j, n, d))
-    entries.sort()
-    return [(i, j, n * (unit // d)) for i, j, n, d in entries]
-
-
 def _assign(
     adj: list[list[tuple[int, int]]], n_total: int
 ) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -148,25 +128,26 @@ def _assign(
     real edge, then the row's private slack column.
 
     Augmenting row reduction starts the call. A free row takes its cheapest
-    column by ``cost - v[j]`` and lowers that column's v by the gap to its
-    second-best column, or, when the two tie and the cheapest is held, takes
-    the second-best column. Its u is that second-best value, so its edges
-    keep reduced cost >= 0 and its matched edge is tight. v only falls, and
-    only on the column being matched, so a matched column never becomes
-    free; a row pushed off its column is queued again. Two rows whose costs
-    differ by one unit can trade a column back and forth, lowering its v by
-    one unit each time, so the reduction stops after 2 * R steps for R rows.
-    A shortest-augmenting-path search then places each row still free,
-    starting from u = its smallest ``cost - v[j]``.
+    column by ``cost - v[j]`` and lowers that column's v by one unit less
+    than the gap to its second-best column, or, when the two tie and the
+    cheapest is held, takes the second-best column. Its u is the cheapest
+    value plus that step, so its edges keep reduced cost >= 0, its matched
+    edge is tight, and its runner-up edge keeps reduced cost 1, leaving the
+    tie test no arc for the row. A gap of one unit is taken whole, since a
+    step of zero would not raise the price; the runner-up edge is then
+    tight. v only falls, and only on the column being matched, so a matched
+    column never becomes free; a row pushed off its column is queued again.
+    Two rows whose costs differ by one unit can trade a column back and
+    forth, lowering its v by one unit each time, so the reduction stops
+    after 2 * R steps for R rows. A shortest-augmenting-path search then
+    places each row still free, starting from u = its smallest
+    ``cost - v[j]``.
 
-    Each search allocates its own ``dist`` and ``pred``; only u, v and the
-    matching outlive it. Row reduction leaves so few rows to search that
-    this costs nothing: 2 of 7,096 rows on 100 default scenes (1,398 of
-    1,400 calls search none), 3 of 5,151 on ten 30-person scenes, 33 to 53
-    of 1,600 on the benchmark ring. The costs are exact integers; the
-    exact-weight pass keeps them as wide as the weights, and only a
-    subproblem with another optimum pays for the tie-break payoff, R * bits
-    wider for its R rows.
+    Each search allocates its own ``dist`` and ``pred``: row reduction
+    leaves 2 of 7,096 rows to search on 100 default scenes, 3 of 5,151 on
+    ten 30-person scenes, 33 to 53 of 1,600 on the benchmark ring. The costs
+    are exact integers, as wide as the weights; only a subproblem with
+    another optimum pays for the tie-break payoff, R * bits wider.
 
     Returns:
         (col_of_row, row_of_col, u, v), with -1 for a free column. Every edge
@@ -199,8 +180,10 @@ def _assign(
                 else:
                     h2, j2 = h, j
         i0 = row_of_col[j1]
-        if h1 < h2:
-            v[j1] -= h2 - h1
+        step = h2 - h1
+        if step:
+            step -= step > 1
+            v[j1] -= step
         elif i0 != -1:
             j1 = j2
             i0 = row_of_col[j1]
@@ -209,7 +192,7 @@ def _assign(
             queue.append(i0)
         row_of_col[j1] = r
         col_of_row[r] = j1
-        u[r] = h2
+        u[r] = h1 + step
     # A row still free starts at its smallest cost - v, so its reduced costs
     # are non-negative.
     free_rows = list(queue)
@@ -291,6 +274,60 @@ def _has_cycle(arcs: list[tuple[int, int]], row_of_col: list[int], v: list[int])
     return any(outdeg.values())
 
 
+def _optimal_pairs(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """The pairs ``solve_subgraph`` selects, ascending; same errors."""
+    # Every float is an integer over a power of two, so counting each weight
+    # in the finest such unit among them makes it an exact integer.
+    unit = 1
+    ratios = {}
+    for key, w in weights.items():
+        if not 0 <= w < INF:
+            raise ValueError(f"negative or non-finite weight {w} at ({key[0]}, {key[1]})")
+        if w > 0:
+            ratios[key] = ratio = w.as_integer_ratio()
+            if ratio[1] > unit:
+                unit = ratio[1]
+    if not ratios:
+        return []
+    cols = sorted({j for _, j in ratios})
+    col_index = {c: idx for idx, c in enumerate(cols)}
+    n_cols = len(cols)
+
+    # Exact-weight pass: each edge costs its negated exact weight, and row
+    # r's private slack column n_cols + r closes it at cost zero. Keys come
+    # sorted by row, so each new row id starts the next row.
+    rows: list[int] = []
+    adj: list[list[tuple[int, int]]] = []
+    for key in sorted(ratios):
+        i, j = key
+        n, d = ratios[key]
+        if not rows or rows[-1] != i:
+            rows.append(i)
+            adj.append([])
+        adj[-1].append((col_index[j], -(n * (unit // d))))
+    n_rows = len(rows)
+    for r in range(n_rows):
+        adj[r].append((n_cols + r, 0))
+    col_of_row, row_of_col, u, v = _assign(adj, n_cols + n_rows)
+
+    # Each unmatched tight edge (r, j) is an arc from r's column c to j.
+    arcs = [(c, j) for c, ur, edges in zip(col_of_row, u, adj)
+            for j, cost in edges if cost - ur == v[j] and j != c]
+    if arcs and _has_cycle(arcs, row_of_col, v):
+        # Another optimum exists: solve again with row r's k-th edge paying
+        # (d_r - k) << (bits * (n_rows - 1 - r)) below its shifted weight.
+        bits = (max(len(edges) for edges in adj) - 1).bit_length()
+        shift = bits * n_rows
+        for r, edges in enumerate(adj):
+            degree = len(edges) - 1
+            place = bits * (n_rows - 1 - r)
+            for k in range(degree):
+                j, cost = edges[k]
+                edges[k] = (j, (cost << shift) - ((degree - k) << place))
+        col_of_row, _, _, _ = _assign(adj, n_cols + n_rows)
+    return [(rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols]
+
+
 def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     """Maximum-weight bipartite matching on a sparse weight map.
 
@@ -308,52 +345,8 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     Raises:
         ValueError: any negative or non-finite weight.
     """
-    entries = _exact_entries(weights)
-    if not entries:
-        return Matching(pairs=(), total_weight=0.0)
-
-    cols = sorted({j for _, j, _ in entries})
-    col_index = {c: idx for idx, c in enumerate(cols)}
-    n_cols = len(cols)
-
-    # Exact-weight pass: each edge costs its negated exact weight, and row
-    # r's private slack column n_cols + r closes it at cost zero. Entries
-    # come sorted by row, so each new row id starts the next row.
-    rows: list[int] = []
-    adj: list[list[tuple[int, int]]] = []
-    for i, j, exact in entries:
-        if not rows or rows[-1] != i:
-            rows.append(i)
-            adj.append([])
-        adj[-1].append((col_index[j], -exact))
-    n_rows = len(rows)
-    for r in range(n_rows):
-        adj[r].append((n_cols + r, 0))
-    col_of_row, row_of_col, u, v = _assign(adj, n_cols + n_rows)
-
-    # Each unmatched tight edge (r, j) is an arc from r's column to j.
-    arcs = []
-    for r, edges in enumerate(adj):
-        c = col_of_row[r]
-        ur = u[r]
-        for j, cost in edges:
-            if cost - ur == v[j] and j != c:
-                arcs.append((c, j))
-    if _has_cycle(arcs, row_of_col, v):
-        # Another optimum exists: solve again with row r's k-th edge paying
-        # (d_r - k) << (bits * (n_rows - 1 - r)) below its shifted weight.
-        bits = (max(len(edges) for edges in adj) - 1).bit_length()
-        shift = bits * n_rows
-        for r, edges in enumerate(adj):
-            degree = len(edges) - 1
-            place = bits * (n_rows - 1 - r)
-            for k in range(degree):
-                j, cost = edges[k]
-                edges[k] = (j, (cost << shift) - ((degree - k) << place))
-        col_of_row, _, _, _ = _assign(adj, n_cols + n_rows)
-    pairs = [(rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols]
-    total = math.fsum(weights[p] for p in pairs)
-    return Matching(pairs=tuple(pairs), total_weight=total)
+    pairs = _optimal_pairs(weights)
+    return Matching(pairs=tuple(pairs), total_weight=math.fsum(weights[p] for p in pairs))
 
 
 def solve_graph(graph: PersonJointGraph) -> Assignment:
@@ -370,12 +363,13 @@ def solve_graph(graph: PersonJointGraph) -> Assignment:
     by_type: dict[int, dict[tuple[int, int], float]] = {}
     for e in graph.edges:
         by_type.setdefault(e.joint_type, {})[(e.proposal, e.node)] = e.weight
-    selected = set()
-    for joint_type, weights in by_type.items():
-        for i, j in solve_subgraph(weights).pairs:
-            selected.add((joint_type, i, j))
-    total = math.fsum(by_type[k][(i, j)] for k, i, j in sorted(selected))
-    return Assignment(selected=frozenset(selected), total_weight=total)
+    selected, leaves = [], []
+    for joint_type in sorted(by_type):
+        weights = by_type[joint_type]
+        for p in _optimal_pairs(weights):
+            selected.append((joint_type, *p))
+            leaves.append(weights[p])
+    return Assignment(selected=frozenset(selected), total_weight=math.fsum(leaves))
 
 
 def build_poses(assignment: Assignment, graph: PersonJointGraph) -> list[Pose]:

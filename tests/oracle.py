@@ -2,8 +2,9 @@
 compare ``solve_subgraph`` against."""
 
 import math
+from fractions import Fraction
 
-from posegraph.solver import Matching, _exact_entries
+from posegraph.solver import Matching
 
 
 class SizeLimitError(ValueError):
@@ -13,20 +14,25 @@ class SizeLimitError(ValueError):
 def brute_force_oracle(weights: dict[tuple[int, int], float]) -> Matching:
     """Exhaustive maximum-weight matching for small instances.
 
-    Enumerates every feasible matching and compares exact integer weight
-    sums; among equal maxima the lexicographically smallest pair tuple wins,
-    mirroring the solver's tie-break. The reported total is the math.fsum of
+    Enumerates every feasible matching and compares exact weight sums: each
+    weight is summed as the Fraction it equals, so no sum rounds. Among
+    equal maxima the lexicographically smallest pair tuple wins, mirroring
+    the solver's tie-break. The reported total is the math.fsum of
     the selected weights, as in the solver.
 
     Raises:
         SizeLimitError: more than 8 rows or 8 columns.
         ValueError: any negative or non-finite weight.
     """
-    exact: dict[tuple[int, int], int] = {}
+    exact: dict[tuple[int, int], Fraction] = {}
     columns_of: dict[int, list[int]] = {}
-    for i, j, n in _exact_entries(weights):
-        exact[(i, j)] = n
-        columns_of.setdefault(i, []).append(j)
+    for i, j in sorted(weights):
+        w = weights[i, j]
+        if not 0 <= w < math.inf:
+            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
+        if w > 0:
+            exact[(i, j)] = Fraction(w)
+            columns_of.setdefault(i, []).append(j)
     rows = sorted(columns_of)
     n_cols = len({j for _, j in exact})
     if len(rows) > 8 or n_cols > 8:
