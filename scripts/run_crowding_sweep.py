@@ -5,7 +5,7 @@ For each target crowd index the script synthesizes scenes, runs both
 association methods on identical candidates, and reports provenance-checked
 association accuracy plus COCO-style mAP, AP50 and AP75 for each method,
 per target and per achieved crowding band. "greedy+nms" runs
-``pose_dedup_baseline`` (default threshold) on each scene's greedy poses:
+``pose_dedup_baseline`` (OKS threshold 0.7) on each scene's greedy poses:
 the pose NMS that top-down pipelines use to drop duplicate poses. It removes
 whole poses and changes no assignment, so its association accuracy is
 greedy's. The interesting region is the medium and hard bands, where

@@ -69,20 +69,13 @@ def _collect(path: Path, suffix: str) -> list[Path]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    flags = {
-        "person_min": args.person_min if args.persons is None else args.persons,
-        "person_max": args.person_max if args.persons is None else args.persons,
-        "target_crowd_index": args.crowd_index,
-        "sigma_noise": args.noise,
-        "fp_rate": args.fp_rate,
-        "missing_rate": args.missing_rate,
-        "mu": args.mu,
-        "sigma": args.sigma,
-    }
+    if args.persons is not None:
+        args.person_min = args.person_max = args.persons
     # SceneSpec owns every default and range: a bad value stops before any write.
     # A flag overrides the config file, which overrides the default.
-    given = {name: value for name, value in flags.items() if value is not None}
-    spec = SceneSpec(**{"mu": config.mu, "sigma": config.sigma, **given}, seed=args.seed)
+    names = [field.name for field in dataclasses.fields(SceneSpec)]
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    spec = SceneSpec(**{"mu": config.mu, "sigma": config.sigma, **given})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     achieved = []
@@ -214,8 +207,10 @@ def make_parser() -> argparse.ArgumentParser:
                        help="exact person count (overrides min/max)")
     synth.add_argument("--person-min", type=int)
     synth.add_argument("--person-max", type=int)
-    synth.add_argument("--crowd-index", type=float)
-    synth.add_argument("--noise", type=float, help="location jitter in pixels")
+    synth.add_argument("--crowd-index", type=float, dest="target_crowd_index",
+                       metavar="CROWD_INDEX")
+    synth.add_argument("--noise", type=float, dest="sigma_noise", metavar="NOISE",
+                       help="location jitter in pixels")
     synth.add_argument("--fp-rate", type=float)
     synth.add_argument("--missing-rate", type=float)
     synth.add_argument("--seed", type=int, default=0)

@@ -65,8 +65,8 @@ from heapq import heappush, heappop
 
 from .graph import PersonJointGraph
 from .grouping import weighted_center
-from .joints import JOINT_COUNT, OKS_SIGMAS
-from .metrics import GroundTruthPerson, check_oks_sigmas, compute_oks
+from .joints import JOINT_COUNT
+from .metrics import GroundTruthPerson, compute_oks
 
 INF = math.inf
 
@@ -117,6 +117,13 @@ class Pose:
             raise ValueError(f"pose keypoints must hold {JOINT_COUNT} entries")
         if not any(slot is not None for slot in self.keypoints):
             raise ValueError("a pose needs at least one keypoint")
+        for slot in self.keypoints:
+            if slot is not None:
+                (px, py), score = slot
+                if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(score)):
+                    raise ValueError(f"pose keypoint must be finite, got {slot}")
+        if not math.isfinite(self.pose_score):
+            raise ValueError(f"pose_score must be finite, got {self.pose_score}")
 
 
 def _assign(
@@ -466,22 +473,15 @@ def _pose_as_pseudo_gt(pose: Pose) -> GroundTruthPerson:
     )
 
 
-def pose_dedup_baseline(
-    poses: list[Pose],
-    oks_threshold: float = 0.7,
-    sigmas=OKS_SIGMAS,
-) -> list[Pose]:
-    """Greedy pose-level suppression by OKS similarity.
+def pose_dedup_baseline(poses: list[Pose]) -> list[Pose]:
+    """Greedy pose-level suppression by OKS similarity (pose NMS).
 
-    Poses are kept in descending pose_score order; a pose is dropped when
-    its OKS against an already kept pose exceeds the threshold.
+    Poses are kept in descending pose_score order; a pose is dropped when its
+    OKS (``OKS_SIGMAS``) against an already kept pose exceeds the constant 0.7.
 
     Returns:
         Surviving poses in their input order.
     """
-    if not 0.0 < oks_threshold < 1.0:
-        raise ValueError(f"oks_threshold must lie in (0, 1), got {oks_threshold}")
-    check_oks_sigmas(sigmas)
     order = sorted(
         range(len(poses)), key=lambda idx: (-poses[idx].pose_score, poses[idx].proposal_id)
     )
@@ -489,7 +489,7 @@ def pose_dedup_baseline(
     references: dict[int, GroundTruthPerson] = {}
     for idx in order:
         if all(
-            compute_oks(poses[idx], references[kept], sigmas) <= oks_threshold
+            compute_oks(poses[idx], references[kept]) <= 0.7
             for kept in kept_idx
         ):
             kept_idx.append(idx)

@@ -17,6 +17,7 @@ import posegraph
 from posegraph.graph import Edge, PersonJointGraph, PersonProposal, build_graph
 from posegraph.grouping import CandidateJoint, JointNode, group_candidates
 from posegraph.joints import JointSpec
+from posegraph.metrics import compute_oks
 from posegraph.simulator import SceneSpec, simulate_scene
 from posegraph.solver import (
     INF,
@@ -26,6 +27,7 @@ from posegraph.solver import (
     _assign,
     _has_cycle,
     _optimal_pairs,
+    _pose_as_pseudo_gt,
     build_poses,
     greedy_baseline,
     greedy_select,
@@ -728,6 +730,25 @@ def test_pose_needs_a_keypoint():
         Pose(proposal_id=0, keypoints=(None,) * 14, pose_score=0.0)
 
 
+@pytest.mark.parametrize(
+    "slot, pose_score, message",
+    [
+        (((math.nan, 1.0), 0.5), 0.5, "pose keypoint must be finite"),
+        (((1.0, math.inf), 0.5), 0.5, "pose keypoint must be finite"),
+        (((1.0, 2.0), -math.inf), 0.5, "pose keypoint must be finite"),
+        (((1.0, 2.0), 0.5), math.nan, "pose_score must be finite"),
+        (((1.0, 2.0), 0.5), math.inf, "pose_score must be finite"),
+    ],
+    ids=["x-nan", "y-inf", "score-neg-inf", "pose-score-nan", "pose-score-inf"],
+)
+def test_pose_refuses_non_finite_values(slot, pose_score, message):
+    # evaluate would score such a pose silently, and pose_dedup_baseline would
+    # fail deep inside its pseudo ground truth with a bbox error.
+    keypoints = (slot,) + (None,) * 13
+    with pytest.raises(ValueError, match=message):
+        Pose(proposal_id=0, keypoints=keypoints, pose_score=pose_score)
+
+
 @pytest.mark.parametrize("count", [0, 1, 13, 15, 20])
 def test_pose_holds_one_slot_per_joint_type(count):
     # evaluate and pose_dedup_baseline index a pose by joint type, so a pose of
@@ -800,12 +821,16 @@ def test_pose_dedup_keeps_distinct_poses():
     assert pose_dedup_baseline([a, b]) == [a, b]
 
 
-def test_pose_dedup_threshold_range():
-    with pytest.raises(ValueError):
-        pose_dedup_baseline([], oks_threshold=1.0)
-
-
-def test_pose_dedup_checks_oks_sigmas():
+@pytest.mark.parametrize("dx, dropped", [(4.29, True), (4.30, False)])
+def test_pose_dedup_threshold_is_0_7(dx, dropped):
+    # The two shifts straddle the constant threshold: OKS just above 0.7 is a
+    # duplicate, OKS just below it is another person.
     a = _pose_at(10.0, 10.0, 0, 0.9)
-    with pytest.raises(ValueError, match="positive and finite"):
-        pose_dedup_baseline([a], sigmas=(float("inf"),) * 14)
+    b = _pose_at(10.0 + dx, 10.0, 1, 0.8)
+    oks = compute_oks(b, _pose_as_pseudo_gt(a))
+    if dropped:
+        assert 0.7 < oks < 0.701
+        assert pose_dedup_baseline([a, b]) == [a]
+    else:
+        assert 0.699 < oks <= 0.7
+        assert pose_dedup_baseline([a, b]) == [a, b]
