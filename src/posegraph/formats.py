@@ -422,6 +422,7 @@ def results_to_payload(image_id: int, poses: Sequence[Pose]) -> dict:
 def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
     (image_id,) = json_numbers(payload, _IMAGE_ID_FIELDS, "results document")
     poses = []
+    seen: set[int] = set()
     for entry in _list(payload, "poses", "results document"):
         slots: list[tuple[tuple[float, float], float] | None] = []
         for row in _list(entry, "keypoints", "pose entry"):
@@ -431,6 +432,10 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
             x, y, score = json_list(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
             slots.append(((x, y), score))
         proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "pose entry")
+        # A repeated pose would be scored as one more detection.
+        if proposal_id in seen:
+            raise FormatError(f"duplicate proposal_id {proposal_id}")
+        seen.add(proposal_id)
         try:
             # Pose owns the slot count; a file that breaks it is malformed.
             poses.append(Pose(proposal_id=proposal_id, keypoints=tuple(slots), pose_score=score))

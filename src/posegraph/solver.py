@@ -1,13 +1,15 @@
 """Globally optimal person-joint assignment.
 
-Each joint type induces an independent bipartite subproblem: person proposals
-on one side, joint nodes on the other, edge weights from heatmap responses.
-The solver maximizes total selected weight subject to the one-joint-per-person
-and one-person-per-joint constraints, solving each subproblem with a sparse
-shortest-augmenting-path assignment routine (Jonker and Volgenant's, "A
-shortest augmenting path algorithm for dense and sparse linear assignment
-problems", Computing 38, 1987). Summing the per-type optima is exact because
-the subproblems share no variables.
+The solver maximizes the total selected weight of a person-joint graph
+subject to the one-joint-per-person-and-type and one-person-per-joint
+constraints, as one sparse assignment problem solved by a
+shortest-augmenting-path routine (Jonker and Volgenant's, "A shortest
+augmenting path algorithm for dense and sparse linear assignment problems",
+Computing 38, 1987). A row is a (joint_type, proposal) pair and a column is a
+joint node. Node ids are unique and every node has one joint type, so the
+joint types share no row and no column: the problem is the disjoint union of
+one bipartite subproblem per type, and its optimum is the union of theirs.
+Solving it at once saves the per-type set-up, not search work.
 
 The routine starts with Jonker and Volgenant's augmenting row reduction: each
 row in turn claims its cheapest column and raises that column's price to one
@@ -23,11 +25,14 @@ column: leaving a person unmatched is always feasible, and since every real
 weight is positive, a real match is chosen exactly when it helps the total.
 
 Among optima of equal exact weight the solver returns the lexicographically
-smallest selected pair set, and it decides both without float rounding. Each
-weight becomes an exact integer: every float is an integer over a power of
-two, so scaling by the largest such denominator among a subproblem's weights
-loses nothing. Reduced costs, potentials and path lengths are then plain
-Python integers, so a reduced cost that is zero is exactly zero.
+smallest selected set, and it decides both without float rounding. Each
+weight becomes an exact integer: one vectorized ``np.frexp`` writes every
+weight as a 53-bit integer mantissa times a power of two, the mantissas
+lose the trailing zeros they all share, and counting each weight in the
+smallest of the powers then loses nothing. These integers are the ones a
+per-type conversion would give, scaled by one power of two.
+Reduced costs, potentials and path lengths are then plain Python integers,
+so a reduced cost that is zero is exactly zero.
 
 A solve runs one search routine once or twice. The first runs on the exact
 weights alone (cost -exact). Its potentials u, v prove the matching optimal,
@@ -40,20 +45,27 @@ first by tight alternating cycles, and by tight alternating paths from a
 covered column with v == 0 to a free column. Draw an arc from each row's
 column to each of its other tight columns, and join every free column
 through one hub node to every covered column with v == 0: those cycles and
-paths are then the directed cycles. Trimming dead ends (nodes with no arc
-onward, then nodes whose every arc leads to one) leaves a node exactly
-when a directed cycle exists. With no arc, as on most subproblems of a
-simulated scene, or nothing left, the first matching is the unique optimum.
+paths are then the directed cycles. Arcs never leave a joint type, so a
+cycle through the hub still runs its path inside one type, and one hub for
+the whole graph finds exactly the types with another optimum. Trimming dead
+ends (nodes with no arc onward, then nodes whose every arc leads to one)
+leaves a node exactly when a directed cycle exists. With no arc, as on most
+simulated scenes, or nothing left, the first matching is the unique optimum.
 
-Otherwise the whole subproblem is solved again, with one integer cost per
-edge: the exact weight shifted above a tie-break payoff. Row r's k-th edge
-(rows and columns ascending, R rows) pays (d_r - k) * B^(R - 1 - r), where
-d_r is the row's degree and B is a power of two above every degree.
-Matching a row at all, or to an earlier column, outweighs every payoff of
-the later rows together, which is exactly the lexicographic order on sorted
-pair tuples, and the shift puts one unit of weight above all payoffs
-together. So the second pass maximizes the exact weight first and returns
-the lexicographically smallest optimum by construction.
+Otherwise the whole graph is solved again, with one integer cost per edge:
+the exact weight, counted in the finest binary unit among the weights,
+shifted above a tie-break payoff. Rows and columns are ascending within
+each joint type; the r-th of a type's R rows pays (d - k) * B^(R - 1 - r)
+on its k-th edge, where d is the row's degree and B is a power of two above
+every degree. Matching a row at all, or to an
+earlier column, outweighs every payoff of the type's later rows together,
+which is exactly the lexicographic order on that type's sorted pair tuples,
+and the shift puts one unit of weight above the payoffs of the largest
+type. The objective is a sum over types, each maximized on its own, so
+placing rows by their rank inside their own type is enough and keeps the
+payoffs as wide as one type needs. So the second pass maximizes the exact
+weight first and returns the lexicographically smallest optimum by
+construction.
 """
 
 from __future__ import annotations
@@ -62,6 +74,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from functools import reduce
+from operator import itemgetter, or_
+
+import numpy as np
 
 from .graph import PersonJointGraph
 from .grouping import weighted_center
@@ -92,6 +108,10 @@ class Assignment:
     total_weight: float
 
     def __post_init__(self):
+        # Two set sizes decide it; the walk below only names a conflict.
+        rows = {(k, i) for k, i, _ in self.selected}
+        if len(rows) == len({j for _, _, j in self.selected}) == len(self.selected):
+            return
         seen_pi = set()
         seen_node = set()
         for k, i, j in self.selected:
@@ -151,10 +171,11 @@ def _assign(
     ``cost - v[j]``.
 
     Each search allocates its own ``dist`` and ``pred``: row reduction
-    leaves 2 of 7,096 rows to search on 100 default scenes, 3 of 5,151 on
-    ten 30-person scenes, 33 to 53 of 1,600 on the benchmark ring. The costs
-    are exact integers, as wide as the weights; only a subproblem with
-    another optimum pays for the tie-break payoff, R * bits wider.
+    leaves none of the 7,096 rows of 100 default scenes to search, none of
+    the 5,151 of ten 30-person scenes, and 33 to 53 of 1,600 on the
+    benchmark ring. The costs are exact integers, as wide as the weights;
+    only a graph with another optimum pays for the tie-break payoff,
+    R * bits wider for the R rows of its largest joint type.
 
     Returns:
         (col_of_row, row_of_col, u, v), with -1 for a free column. Every edge
@@ -281,67 +302,102 @@ def _has_cycle(arcs: list[tuple[int, int]], row_of_col: list[int], v: list[int])
     return any(outdeg.values())
 
 
-def _optimal_pairs(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """The pairs ``solve_subgraph`` selects, ascending; same errors."""
-    # Every float is an integer over a power of two, so counting each weight
-    # in the finest such unit among them makes it an exact integer.
-    unit = 1
-    ratios = {}
-    for key, w in weights.items():
-        if not 0 <= w < INF:
-            raise ValueError(f"negative or non-finite weight {w} at ({key[0]}, {key[1]})")
-        if w > 0:
-            ratios[key] = ratio = w.as_integer_ratio()
-            if ratio[1] > unit:
-                unit = ratio[1]
-    if not ratios:
+def _optimal_pairs(
+    edges: list[tuple[int, int, int, float]],
+) -> list[tuple[int, int, int, float]]:
+    """The (joint_type, proposal, node, weight) edges of the optimum the
+    solver returns, ascending. Every weight must be positive and finite and
+    is read as a float, and no node may serve two joint types. Sorts
+    ``edges`` in place."""
+    if not edges:
         return []
-    cols = sorted({j for _, j in ratios})
-    col_index = {c: idx for idx, c in enumerate(cols)}
-    n_cols = len(cols)
+    edges.sort()
+    # Each weight is m * 2**e with m in [0.5, 1), so m * 2**53 is an integer.
+    # Counted in units of 2**(low - 53), low the smallest e, which divides
+    # every weight, a weight is exactly m * 2**53 << (e - low); its cost is
+    # the negation. Few numpy calls: on a graph of a few hundred edges each
+    # costs about as much as a pass over the edges. Dropping the trailing
+    # zeros all mantissas share keeps short ones, such as 0.25 and 0.5, as
+    # narrow as their reduced fractions.
+    m, e = np.frexp(np.fromiter(map(itemgetter(3), edges), np.float64, len(edges)))
+    mantissas = (m * -2.0**53).astype(np.int64).tolist()
+    common = reduce(or_, mantissas)
+    zeros = (common & -common).bit_length() - 1
+    if zeros:
+        mantissas = [a >> zeros for a in mantissas]
+    exponents = e.tolist()
+    low = min(exponents)
 
-    # Exact-weight pass: each edge costs its negated exact weight, and row
-    # r's private slack column n_cols + r closes it at cost zero. Keys come
-    # sorted by row, so each new row id starts the next row.
-    rows: list[int] = []
+    # Exact-weight pass: each (joint_type, proposal) row costs its edges'
+    # negated exact weights, and row r's private slack column n_cols + r
+    # closes it at cost zero. Edges come sorted, so a row's edges are
+    # contiguous from first[r], and a joint type's rows are contiguous too.
     adj: list[list[tuple[int, int]]] = []
-    for key in sorted(ratios):
-        i, j = key
-        n, d = ratios[key]
-        if not rows or rows[-1] != i:
-            rows.append(i)
-            adj.append([])
-        adj[-1].append((col_index[j], -(n * (unit // d))))
-    n_rows = len(rows)
-    for r in range(n_rows):
-        adj[r].append((n_cols + r, 0))
+    first: list[int] = []
+    col_index: dict[int, int] = {}
+    row_type = row_proposal = None
+    for n, ((k, i, j, _), a, s) in enumerate(zip(edges, mantissas, exponents)):
+        if i != row_proposal or k != row_type:
+            row_type, row_proposal = k, i
+            first.append(n)
+            edges_r = []
+            adj.append(edges_r)
+        edges_r.append((col_index.setdefault(j, len(col_index)), a << (s - low)))
+    n_rows, n_cols = len(adj), len(col_index)
+    for r, edges_r in enumerate(adj):
+        edges_r.append((n_cols + r, 0))
     col_of_row, row_of_col, u, v = _assign(adj, n_cols + n_rows)
 
     # Each unmatched tight edge (r, j) is an arc from r's column c to j.
-    arcs = [(c, j) for c, ur, edges in zip(col_of_row, u, adj)
-            for j, cost in edges if cost - ur == v[j] and j != c]
+    arcs = [(c, j) for c, ur, edges_r in zip(col_of_row, u, adj)
+            for j, cost in edges_r if cost - ur == v[j] and j != c]
     if arcs and _has_cycle(arcs, row_of_col, v):
         # Another optimum exists: solve again with row r's k-th edge paying
-        # (d_r - k) << (bits * (n_rows - 1 - r)) below its shifted weight.
-        bits = (max(len(edges) for edges in adj) - 1).bit_length()
-        shift = bits * n_rows
-        for r, edges in enumerate(adj):
-            degree = len(edges) - 1
-            place = bits * (n_rows - 1 - r)
+        # (d_r - k) << place below its shifted weight, place counting the
+        # rows after r within r's own joint type. The weights are first
+        # counted in the finest binary unit among them, by dropping the
+        # trailing zeros all costs still share, so the shift widens no more
+        # than it must.
+        common = 0
+        for edges_r in adj:
+            for _, cost in edges_r:
+                common |= cost
+        zeros = (common & -common).bit_length() - 1
+        bits = (max(len(edges_r) for edges_r in adj) - 1).bit_length()
+        places = [0] * n_rows
+        end = n_rows
+        for r in range(n_rows - 1, -1, -1):
+            if edges[first[r]][0] != edges[first[end - 1]][0]:
+                end = r + 1
+            places[r] = bits * (end - 1 - r)
+        shift = max(places) + bits
+        for edges_r, place in zip(adj, places):
+            degree = len(edges_r) - 1
             for k in range(degree):
-                j, cost = edges[k]
-                edges[k] = (j, (cost << shift) - ((degree - k) << place))
+                j, cost = edges_r[k]
+                edges_r[k] = (j, (cost >> zeros << shift) - ((degree - k) << place))
         col_of_row, _, _, _ = _assign(adj, n_cols + n_rows)
-    return [(rows[r], cols[j]) for r, j in enumerate(col_of_row) if j < n_cols]
+
+    selected = []
+    for r, c in enumerate(col_of_row):
+        if c < n_cols:
+            n = first[r]
+            for j, _ in adj[r]:
+                if j == c:
+                    break
+                n += 1
+            selected.append(edges[n])
+    return selected
 
 
 def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     """Maximum-weight bipartite matching on a sparse weight map.
 
     Args:
-        weights: (row, column) -> weight. Rows and columns may be any
-            integers; absent pairs are unmatchable. Zero-weight entries are
-            dropped, since matching them can never help the total.
+        weights: (row, column) -> weight, read as a float. Rows and
+            columns may be any integers; absent pairs are unmatchable.
+            Zero-weight entries are dropped, since matching them can never
+            help the total.
 
     Returns:
         Matching with pairs sorted ascending and total_weight the correctly
@@ -352,31 +408,37 @@ def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
     Raises:
         ValueError: any negative or non-finite weight.
     """
-    pairs = _optimal_pairs(weights)
-    return Matching(pairs=tuple(pairs), total_weight=math.fsum(weights[p] for p in pairs))
+    edges = []
+    for (i, j), w in weights.items():
+        if not 0 <= w < INF:
+            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
+        if w > 0:
+            edges.append((0, i, j, w))
+    selected = _optimal_pairs(edges)
+    return Matching(
+        pairs=tuple(map(itemgetter(1, 2), selected)),
+        total_weight=math.fsum(map(itemgetter(3), selected)),
+    )
 
 
 def solve_graph(graph: PersonJointGraph) -> Assignment:
-    """Solve every per-joint-type subproblem and combine the results.
+    """The optimal assignment of the whole graph, solved as one problem.
 
-    The constraints never couple joint types, so the union of per-type
-    optima is the global optimum. The total is one flat math.fsum over the
+    The constraints never couple joint types, so this optimum is the union
+    of the per-type optima. The total is one flat math.fsum over the
     selected edge weights in ascending (joint_type, proposal, node) order:
     a correctly rounded sum of the leaves, so any exact-real ordering
     against another flat fsum (e.g. the greedy baseline total) survives
     rounding. Summing per-type subtotals instead would round twice and can
     drift a few ulps.
     """
-    by_type: dict[int, dict[tuple[int, int], float]] = {}
-    for e in graph.edges:
-        by_type.setdefault(e.joint_type, {})[(e.proposal, e.node)] = e.weight
-    selected, leaves = [], []
-    for joint_type in sorted(by_type):
-        weights = by_type[joint_type]
-        for p in _optimal_pairs(weights):
-            selected.append((joint_type, *p))
-            leaves.append(weights[p])
-    return Assignment(selected=frozenset(selected), total_weight=math.fsum(leaves))
+    selected = _optimal_pairs(
+        [(e.joint_type, e.proposal, e.node, e.weight) for e in graph.edges]
+    )
+    return Assignment(
+        selected=frozenset(map(itemgetter(0, 1, 2), selected)),
+        total_weight=math.fsum(map(itemgetter(3), selected)),
+    )
 
 
 def build_poses(assignment: Assignment, graph: PersonJointGraph) -> list[Pose]:

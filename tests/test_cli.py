@@ -580,6 +580,24 @@ def test_evaluate_duplicate_results_names_both_files(tmp_path, capsys):
     )
 
 
+def test_evaluate_repeated_proposal_id_is_named_error(tmp_path, capsys):
+    # A copied pose used to be scored as one more detection, lowering the
+    # mAP with exit 0.
+    out, _ = synth_clean(tmp_path, capsys)
+    assert main(["associate", str(out)]) == 0
+    capsys.readouterr()
+    bad = out / "scene_000.results.json"
+    doc = read_json(bad)
+    pose = doc["poses"][1]
+    doc["poses"].append({**pose, "score": 0.99})
+    bad.write_text(json.dumps(doc))
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--results", str(out), "--annotations", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {bad}: duplicate proposal_id {pose['proposal_id']}\n"
+
+
 @pytest.mark.parametrize(
     "rows,expected",
     [

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from heapq import heappop, heappush
 from pathlib import Path
 from unittest import mock
@@ -597,8 +598,9 @@ def test_row_reduction_leaves_few_rows_to_search():
     ],
     ids=["default", "thirty-persons"],
 )
-def test_simulated_scene_is_solved_in_one_pass_per_subproblem(spec, arc_share):
-    # Simulated responses leave no exact ties, so no subproblem is solved twice.
+def test_simulated_scene_is_solved_in_one_pass(spec, arc_share):
+    # The whole graph is one assignment problem, and simulated responses
+    # leave no exact ties, so it is solved once.
     scene = simulate_scene(spec)
     nodes = group_candidates(list(scene.candidates), JointSpec())
     graph = build_graph(list(scene.proposals), nodes)
@@ -616,8 +618,8 @@ def test_simulated_scene_is_solved_in_one_pass_per_subproblem(spec, arc_share):
         posegraph.solver, "_has_cycle", recording_has_cycle
     ), mock.patch.object(posegraph.solver, "heappush", wraps=heappush) as pushes:
         solve_graph(graph)
-    assert subproblems.call_count >= 10
-    assert spy.call_count == subproblems.call_count
+    assert subproblems.call_count == 1
+    assert spy.call_count == 1
     # Row reduction leaves almost no row to search.
     assert pushes.call_count < len(graph.edges) / 10
     # ...and leaves each matched row's runner-up edge slack, so the tie proof
@@ -684,6 +686,119 @@ def test_empty_graph_solution():
     assignment = solve_graph(graph)
     assert assignment.selected == frozenset()
     assert assignment.total_weight == 0.0
+
+
+GRAPH_DRAWS = {
+    "levels": lambda rng: rng.choice((0.25, 0.5, 0.75, 1.0)),
+    "all_half": lambda rng: 0.5,
+    "two_decimals": lambda rng: round(rng.uniform(0.01, 1.0), 2),
+    "six_decimals": lambda rng: round(rng.uniform(1e-6, 1.0), 6),
+    "seventeen_decimals": lambda rng: round(rng.uniform(1e-17, 1.0), 17),
+    "extremes": lambda rng: rng.choice((5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e300)),
+}
+
+
+def _multi_type_graph(draw, seed):
+    # Up to six joint types over shared proposals, negative and
+    # non-contiguous ids, edges in shuffled order.
+    rng = random.Random(seed)
+    types = rng.sample(range(14), rng.randint(1, 6))
+    proposals = rng.sample(range(-40, 40), rng.randint(1, 8))
+    type_of = {j: rng.choice(types) for j in rng.sample(range(-300, 300), rng.randint(1, 40))}
+    density = rng.uniform(0.1, 0.8)
+    edges = [
+        Edge(proposal=i, node=j, joint_type=k, weight=GRAPH_DRAWS[draw](rng))
+        for i in proposals
+        for j, k in type_of.items()
+        if rng.random() < density
+    ]
+    rng.shuffle(edges)
+    member = CandidateJoint(location=(0.0, 0.0), response=1.0, joint_type=0,
+                            source_proposal=proposals[0], response_size=1.0)
+    nodes = [
+        JointNode(joint_type=k, members=(replace(member, joint_type=k),), node_id=j)
+        for j, k in type_of.items()
+    ]
+    persons = [PersonProposal(proposal_id=i, bbox=(0.0, 0.0, 1.0, 1.0)) for i in proposals]
+    return PersonJointGraph(persons=persons, nodes=nodes, edges=edges)
+
+
+def _weights_by_type(graph):
+    by_type: dict[int, dict[tuple[int, int], float]] = {}
+    for e in graph.edges:
+        by_type.setdefault(e.joint_type, {})[(e.proposal, e.node)] = e.weight
+    return by_type
+
+
+@given(st.sampled_from(sorted(GRAPH_DRAWS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_graph_solution_equals_union_of_per_type_solutions(draw, seed):
+    # solve_graph solves all joint types as one problem; the optimum and its
+    # tie-break must be each type's own, and the total one flat fsum.
+    graph = _multi_type_graph(draw, seed)
+    expected, leaves = set(), []
+    for k, weights in _weights_by_type(graph).items():
+        matching = solve_subgraph(weights)
+        assert matching == reference_solve_subgraph(weights), weights
+        expected.update((k, i, j) for i, j in matching.pairs)
+        leaves.extend(weights[p] for p in matching.pairs)
+    assignment = solve_graph(graph)
+    assert assignment.selected == expected
+    assert assignment.total_weight.hex() == math.fsum(leaves).hex()
+
+
+def _second_pass_width(solve, arg):
+    """The bit length of the widest cost in ``solve(arg)``'s second
+    ``_assign`` pass, which must run."""
+    with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+        solve(arg)
+    assert spy.call_count == 2
+    adj, _ = spy.call_args.args
+    return max(abs(cost).bit_length() for edges in adj for _, cost in edges)
+
+
+@pytest.mark.parametrize("copies", [2, 14])
+def test_tie_break_payoff_is_as_wide_as_one_joint_type_needs(copies):
+    # Each row's payoff place counts only the rows of its own joint type, so
+    # k identical tie-heavy types cost no wider integers than one.
+    rng = random.Random(0)
+    weights = {
+        (i, j): rng.choice((0.25, 0.5, 0.75, 1.0))
+        for i in range(12) for j in range(10) if rng.random() < 0.5
+    }
+    triples = [
+        (i, j + 10 * k, w) for k in range(copies) for (i, j), w in weights.items()
+    ]
+    graph = make_graph(triples, 12, [k for k in range(copies) for _ in range(10)])
+    width = _second_pass_width(solve_graph, graph)
+    assert width == _second_pass_width(solve_subgraph, weights)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_thirty_person_totals_match_scipy(seed):
+    # The solver's exact optimum, correctly rounded, is never below the
+    # fsum of another optimal matching and agrees with scipy's to rounding.
+    optimize = pytest.importorskip("scipy.optimize")
+    scene = simulate_scene(
+        SceneSpec(person_min=30, person_max=30, target_crowd_index=1.0, seed=seed)
+    )
+    graph = build_graph(list(scene.proposals), group_candidates(list(scene.candidates), JointSpec()))
+    leaves = []
+    for weights in _weights_by_type(graph).values():
+        rows = sorted({i for i, _ in weights})
+        cols = sorted({j for _, j in weights})
+        # One zero-cost slack column per row lets a row stay unmatched.
+        cost = np.full((len(rows), len(cols) + len(rows)), np.inf)
+        cost[np.arange(len(rows)), len(cols) + np.arange(len(rows))] = 0.0
+        for (i, j), w in weights.items():
+            cost[rows.index(i), cols.index(j)] = -w
+        for r, c in zip(*optimize.linear_sum_assignment(cost)):
+            if c < len(cols):
+                leaves.append(weights[rows[r], cols[c]])
+    reference = math.fsum(leaves)
+    total = solve_graph(graph).total_weight
+    assert total >= reference
+    assert total - reference <= 1e-9 * reference
 
 
 def test_greedy_duplicates_joint_and_loses_weight():
