@@ -45,7 +45,6 @@ from .simulator import (
 )
 from .solver import (
     Assignment,
-    Matching,
     Pose,
     build_poses,
     greedy_baseline,
@@ -53,7 +52,6 @@ from .solver import (
     greedy_total_weight,
     pose_dedup_baseline,
     solve_graph,
-    solve_subgraph,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "JOINT_NAMES",
     "JointNode",
     "JointSpec",
-    "Matching",
     "OKS_SIGMAS",
     "PersonJointGraph",
     "PersonProposal",
@@ -105,6 +102,5 @@ __all__ = [
     "same_group",
     "simulate_scene",
     "solve_graph",
-    "solve_subgraph",
     "weighted_center",
 ]

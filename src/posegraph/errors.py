@@ -3,7 +3,7 @@
 
 class IntegrityError(Exception):
     """Cross-references between objects are inconsistent (e.g. a candidate
-    points at a proposal that does not exist)."""
+    points at a proposal that does not exist, or an id repeats)."""
 
 
 class UndefinedMetricError(Exception):

@@ -432,9 +432,10 @@ def parse_results_payload(payload: Any) -> tuple[int, list[Pose]]:
             x, y, score = json_list(row, _POSE_KEYPOINT_FIELDS, "pose keypoint")
             slots.append(((x, y), score))
         proposal_id, score = json_numbers(entry, _PROPOSAL_FIELDS, "pose entry")
-        # A repeated pose would be scored as one more detection.
+        # A repeated pose would be scored as one more detection. A repeated
+        # id is an IntegrityError, as in candidates and annotations files.
         if proposal_id in seen:
-            raise FormatError(f"duplicate proposal_id {proposal_id}")
+            raise IntegrityError(f"duplicate proposal_id {proposal_id}")
         seen.add(proposal_id)
         try:
             # Pose owns the slot count; a file that breaks it is malformed.

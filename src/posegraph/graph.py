@@ -78,9 +78,6 @@ class PersonJointGraph:
                 raise IntegrityError(f"duplicate edge for (proposal, node) {key}")
             seen.add(key)
 
-    def joint_types(self) -> list[int]:
-        return sorted({n.joint_type for n in self.nodes})
-
 
 def build_graph(
     proposals: list[PersonProposal], nodes: list[JointNode]

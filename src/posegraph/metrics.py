@@ -89,7 +89,7 @@ class SceneAnnotation:
             )
         ids = [p.person_id for p in self.persons]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate person_id in image {self.image_id}")
+            raise IntegrityError(f"duplicate person_id in image {self.image_id}")
 
 
 @dataclass(frozen=True, slots=True)

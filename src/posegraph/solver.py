@@ -9,7 +9,6 @@ Computing 38, 1987). A row is a (joint_type, proposal) pair and a column is a
 joint node. Node ids are unique and every node has one joint type, so the
 joint types share no row and no column: the problem is the disjoint union of
 one bipartite subproblem per type, and its optimum is the union of theirs.
-Solving it at once saves the per-type set-up, not search work.
 
 The routine starts with Jonker and Volgenant's augmenting row reduction: each
 row in turn claims its cheapest column and raises that column's price to one
@@ -27,12 +26,10 @@ weight is positive, a real match is chosen exactly when it helps the total.
 Among optima of equal exact weight the solver returns the lexicographically
 smallest selected set, and it decides both without float rounding. Each
 weight becomes an exact integer: one vectorized ``np.frexp`` writes every
-weight as a 53-bit integer mantissa times a power of two, the mantissas
-lose the trailing zeros they all share, and counting each weight in the
-smallest of the powers then loses nothing. These integers are the ones a
-per-type conversion would give, scaled by one power of two.
-Reduced costs, potentials and path lengths are then plain Python integers,
-so a reduced cost that is zero is exactly zero.
+weight as an odd integer mantissa times a power of two, and counting each
+weight in the smallest of the powers, the finest binary unit among the
+weights, then loses nothing. Reduced costs, potentials and path lengths are
+plain Python integers, so a reduced cost that is zero is exactly zero.
 
 A solve runs one search routine once or twice. The first runs on the exact
 weights alone (cost -exact). Its potentials u, v prove the matching optimal,
@@ -53,19 +50,18 @@ leaves a node exactly when a directed cycle exists. With no arc, as on most
 simulated scenes, or nothing left, the first matching is the unique optimum.
 
 Otherwise the whole graph is solved again, with one integer cost per edge:
-the exact weight, counted in the finest binary unit among the weights,
-shifted above a tie-break payoff. Rows and columns are ascending within
-each joint type; the r-th of a type's R rows pays (d - k) * B^(R - 1 - r)
-on its k-th edge, where d is the row's degree and B is a power of two above
-every degree. Matching a row at all, or to an
-earlier column, outweighs every payoff of the type's later rows together,
-which is exactly the lexicographic order on that type's sorted pair tuples,
-and the shift puts one unit of weight above the payoffs of the largest
-type. The objective is a sum over types, each maximized on its own, so
-placing rows by their rank inside their own type is enough and keeps the
-payoffs as wide as one type needs. So the second pass maximizes the exact
-weight first and returns the lexicographically smallest optimum by
-construction.
+the exact weight shifted above a tie-break payoff. Rows and columns are
+ascending within each joint type; the r-th of a type's R rows pays
+(d - k) * B^(R - 1 - r) on its k-th edge, where d is the row's degree and B
+is a power of two above every degree. A row's payoff for being matched at
+all, or to an earlier column, outweighs every payoff of the type's later
+rows together, which is exactly the lexicographic order on that type's
+sorted pair tuples, and the shift puts one unit of weight above the payoffs
+of the largest type. The objective is a sum over types, each maximized on
+its own, so placing rows by their rank inside their own type is enough and
+keeps the payoffs as wide as one type needs. So the second pass maximizes
+the exact weight first and returns the lexicographically smallest optimum
+by construction.
 """
 
 from __future__ import annotations
@@ -74,8 +70,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,15 +80,6 @@ from .joints import JOINT_COUNT
 from .metrics import GroundTruthPerson, compute_oks
 
 INF = math.inf
-
-
-@dataclass(frozen=True, slots=True)
-class Matching:
-    """Solution of one subproblem: selected (row, column) pairs, ascending,
-    and their total weight."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,26 +292,25 @@ def _optimal_pairs(
     edges: list[tuple[int, int, int, float]],
 ) -> list[tuple[int, int, int, float]]:
     """The (joint_type, proposal, node, weight) edges of the optimum the
-    solver returns, ascending. Every weight must be positive and finite and
-    is read as a float, and no node may serve two joint types. Sorts
+    solver returns, ascending. Every weight is positive and finite, as
+    ``Edge`` requires, and no node may serve two joint types. Sorts
     ``edges`` in place."""
     if not edges:
         return []
     edges.sort()
-    # Each weight is m * 2**e with m in [0.5, 1), so m * 2**53 is an integer.
-    # Counted in units of 2**(low - 53), low the smallest e, which divides
-    # every weight, a weight is exactly m * 2**53 << (e - low); its cost is
-    # the negation. Few numpy calls: on a graph of a few hundred edges each
-    # costs about as much as a pass over the edges. Dropping the trailing
-    # zeros all mantissas share keeps short ones, such as 0.25 and 0.5, as
-    # narrow as their reduced fractions.
+    # Each weight is m * 2**e with m in [0.5, 1), so a = m * 2**53 is an
+    # integer. Its z trailing zeros (a & -a is 2**z) go, leaving it odd, and
+    # the weight is exactly (a >> z) * 2**(e + z - 53). Counted in units of
+    # 2**(low - 53), low the smallest e + z, a weight is (a >> z) << (e + z -
+    # low), and its cost is the negation. No coarser unit divides them all,
+    # since the weights at low count odd: 0.25, 0.5, 0.75 and 1.0 cost -1,
+    # -2, -3 and -4. Few numpy calls: on a graph of a few hundred edges each
+    # costs about as much as a pass over the edges.
     m, e = np.frexp(np.fromiter(map(itemgetter(3), edges), np.float64, len(edges)))
-    mantissas = (m * -2.0**53).astype(np.int64).tolist()
-    common = reduce(or_, mantissas)
-    zeros = (common & -common).bit_length() - 1
-    if zeros:
-        mantissas = [a >> zeros for a in mantissas]
-    exponents = e.tolist()
+    mantissas = (m * -2.0**53).astype(np.int64)
+    zeros = np.frexp(mantissas & -mantissas)[1] - 1
+    mantissas = (mantissas >> zeros).tolist()
+    exponents = (e + zeros).tolist()
     low = min(exponents)
 
     # Exact-weight pass: each (joint_type, proposal) row costs its edges'
@@ -354,15 +339,7 @@ def _optimal_pairs(
     if arcs and _has_cycle(arcs, row_of_col, v):
         # Another optimum exists: solve again with row r's k-th edge paying
         # (d_r - k) << place below its shifted weight, place counting the
-        # rows after r within r's own joint type. The weights are first
-        # counted in the finest binary unit among them, by dropping the
-        # trailing zeros all costs still share, so the shift widens no more
-        # than it must.
-        common = 0
-        for edges_r in adj:
-            for _, cost in edges_r:
-                common |= cost
-        zeros = (common & -common).bit_length() - 1
+        # rows after r within r's own joint type.
         bits = (max(len(edges_r) for edges_r in adj) - 1).bit_length()
         places = [0] * n_rows
         end = n_rows
@@ -375,7 +352,7 @@ def _optimal_pairs(
             degree = len(edges_r) - 1
             for k in range(degree):
                 j, cost = edges_r[k]
-                edges_r[k] = (j, (cost >> zeros << shift) - ((degree - k) << place))
+                edges_r[k] = (j, (cost << shift) - ((degree - k) << place))
         col_of_row, _, _, _ = _assign(adj, n_cols + n_rows)
 
     selected = []
@@ -388,37 +365,6 @@ def _optimal_pairs(
                 n += 1
             selected.append(edges[n])
     return selected
-
-
-def solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
-    """Maximum-weight bipartite matching on a sparse weight map.
-
-    Args:
-        weights: (row, column) -> weight, read as a float. Rows and
-            columns may be any integers; absent pairs are unmatchable.
-            Zero-weight entries are dropped, since matching them can never
-            help the total.
-
-    Returns:
-        Matching with pairs sorted ascending and total_weight the correctly
-        rounded sum (math.fsum) of selected weights. Rows and columns may
-        stay unmatched; among optima of equal exact weight the
-        lexicographically smallest pair set is returned.
-
-    Raises:
-        ValueError: any negative or non-finite weight.
-    """
-    edges = []
-    for (i, j), w in weights.items():
-        if not 0 <= w < INF:
-            raise ValueError(f"negative or non-finite weight {w} at ({i}, {j})")
-        if w > 0:
-            edges.append((0, i, j, w))
-    selected = _optimal_pairs(edges)
-    return Matching(
-        pairs=tuple(map(itemgetter(1, 2), selected)),
-        total_weight=math.fsum(map(itemgetter(3), selected)),
-    )
 
 
 def solve_graph(graph: PersonJointGraph) -> Assignment:

@@ -1,10 +1,46 @@
 """Exhaustive maximum-weight matching, the reference the solver tests
-compare ``solve_subgraph`` against."""
+compare ``solve_graph`` against, and the helper that runs ``solve_graph`` on
+a bare weight map."""
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from posegraph.solver import Matching
+from posegraph.graph import Edge, PersonJointGraph, PersonProposal
+from posegraph.grouping import CandidateJoint, JointNode
+from posegraph.solver import solve_graph
+
+
+class Matching(NamedTuple):
+    """Selected (row, column) pairs, ascending, and their math.fsum total."""
+
+    pairs: tuple[tuple[int, int], ...]
+    total_weight: float
+
+
+def one_type_graph(weights: dict[tuple[int, int], float]) -> PersonJointGraph:
+    """The graph of joint type 0 whose edge (proposal i, node j) weighs
+    ``weights[i, j]``. A zero weight is no edge; ``Edge`` refuses the rest
+    of what is not positive and finite."""
+    member = CandidateJoint(location=(0.0, 0.0), response=1.0, joint_type=0,
+                            source_proposal=0, response_size=1.0)
+    return PersonJointGraph(
+        persons=[PersonProposal(proposal_id=i, bbox=(0.0, 0.0, 1.0, 1.0))
+                 for i in sorted({i for i, _ in weights})],
+        nodes=[JointNode(joint_type=0, members=(member,), node_id=j)
+               for j in sorted({j for _, j in weights})],
+        edges=[Edge(proposal=i, node=j, joint_type=0, weight=w)
+               for (i, j), w in weights.items() if w != 0],
+    )
+
+
+def solve_weights(weights: dict[tuple[int, int], float]) -> Matching:
+    """``solve_graph`` on ``one_type_graph(weights)``, as (row, column) pairs."""
+    assignment = solve_graph(one_type_graph(weights))
+    return Matching(
+        pairs=tuple(sorted((i, j) for _, i, j in assignment.selected)),
+        total_weight=assignment.total_weight,
+    )
 
 
 class SizeLimitError(ValueError):

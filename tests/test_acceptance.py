@@ -40,10 +40,9 @@ from posegraph.solver import (
     greedy_select,
     greedy_total_weight,
     solve_graph,
-    solve_subgraph,
 )
 
-from oracle import brute_force_oracle
+from oracle import brute_force_oracle, one_type_graph, solve_weights
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -71,7 +70,7 @@ def test_criterion_01_solver_equals_exhaustive_oracle():
             for j in range(n)
             if rng.random() < density
         }
-        fast = solve_subgraph(weights)
+        fast = solve_weights(weights)
         slow = brute_force_oracle(weights)
         if fast.pairs != slow.pairs or fast.total_weight != slow.total_weight:
             mismatches += 1
@@ -125,13 +124,11 @@ def test_criterion_02_per_type_decomposition_is_exact():
         graph = _random_multi_type_graph(rng)
         expected_selected = set()
         subtotals = []
-        for joint_type in graph.joint_types():
-            weights = {
-                (e.proposal, e.node): e.weight
-                for e in graph.edges
-                if e.joint_type == joint_type
-            }
-            matching = solve_subgraph(weights)
+        by_type: dict[int, dict[tuple[int, int], float]] = {}
+        for e in graph.edges:
+            by_type.setdefault(e.joint_type, {})[(e.proposal, e.node)] = e.weight
+        for joint_type, weights in by_type.items():
+            matching = solve_weights(weights)
             subtotals.append(matching.total_weight)
             expected_selected |= {(joint_type, i, j) for i, j in matching.pairs}
         assignment = solve_graph(graph)
@@ -448,28 +445,11 @@ def test_criterion_08_crowd_index_reference_values():
 
 def _bench_graph(size: int, rng: np.random.Generator) -> PersonJointGraph:
     """Sparse single-type instance: ring pattern, degree 4 on both sides."""
-    proposals = [
-        PersonProposal(proposal_id=i, bbox=(0.0, 0.0, 1.0, 1.0)) for i in range(size)
-    ]
-    nodes = []
-    for j in range(size):
-        member = CandidateJoint(
-            location=(float(j), 0.0),
-            response=1.0,
-            joint_type=0,
-            source_proposal=0,
-            response_size=1.0,
-        )
-        nodes.append(JointNode(joint_type=0, members=(member,), node_id=j))
-    weights = {}
-    for i in range(size):
-        for offset in range(4):
-            weights[(i, (i + offset) % size)] = float(rng.uniform(0.1, 1.0))
-    edges = [
-        Edge(proposal=i, node=j, joint_type=0, weight=w)
-        for (i, j), w in sorted(weights.items())
-    ]
-    return PersonJointGraph(persons=proposals, nodes=nodes, edges=edges)
+    return one_type_graph({
+        (i, (i + offset) % size): float(rng.uniform(0.1, 1.0))
+        for i in range(size)
+        for offset in range(4)
+    })
 
 
 def test_criterion_09_solver_scales_quadratically():

@@ -594,8 +594,8 @@ def test_evaluate_repeated_proposal_id_is_named_error(tmp_path, capsys):
     code, stdout, stderr = run(
         capsys, "evaluate", "--results", str(out), "--annotations", str(out)
     )
-    assert (code, stdout) == (2, "")
-    assert stderr == f"error: {bad}: duplicate proposal_id {pose['proposal_id']}\n"
+    assert (code, stdout) == (1, "")
+    assert stderr == f"integrity error: {bad}: duplicate proposal_id {pose['proposal_id']}\n"
 
 
 @pytest.mark.parametrize(

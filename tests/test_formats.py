@@ -97,6 +97,14 @@ def test_annotation_rejects_duplicate_image_id():
         parse_annotations_payload(payload)
 
 
+def test_annotation_rejects_duplicate_person_id():
+    # A repeated id is an IntegrityError wherever it sits.
+    payload = annotations_to_payload([sample_scene()])
+    payload["annotations"].append(payload["annotations"][0])
+    with pytest.raises(IntegrityError, match=r"^duplicate person_id in image 7$"):
+        parse_annotations_payload(payload)
+
+
 def test_annotation_rejects_wrong_keypoint_count():
     payload = annotations_to_payload([sample_scene()])
     payload["annotations"][0]["keypoints"] = [0.0, 0.0, 0]

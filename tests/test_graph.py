@@ -131,16 +131,6 @@ def test_degree_stats_empty_graph():
     assert degree_stats(PersonJointGraph(persons=[], nodes=[], edges=[])) == {}
 
 
-def test_joint_types_are_sorted_unique():
-    nodes = [
-        node([cand(0, 0.5, joint_type=4)], node_id=0),
-        node([cand(0, 0.5, joint_type=1)], node_id=1),
-        node([cand(0, 0.5, joint_type=4, x=90.0)], node_id=2),
-    ]
-    graph = build_graph([proposal(0)], nodes)
-    assert graph.joint_types() == [1, 4]
-
-
 def _random_graph(seed):
     rng = random.Random(seed)
     proposals = [proposal(i, x=i * 10.0) for i in range(rng.randint(1, 5))]

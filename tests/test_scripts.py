@@ -1,4 +1,5 @@
-"""Smoke tests: each script under scripts/ runs to completion on a tiny input."""
+"""Smoke tests: each script under scripts/ and the README's library example
+run to completion on a tiny input, and every public name resolves."""
 
 import os
 import subprocess
@@ -45,3 +46,15 @@ def test_pipeline_demo_writes_reports(tmp_path):
     assert f"artifacts in {workdir}/" in child.stdout
     assert (workdir / "report_global.json").exists()
     assert (workdir / "report_greedy.json").exists()
+
+
+def test_every_public_name_resolves():
+    assert [name for name in posegraph.__all__ if not hasattr(posegraph, name)] == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0

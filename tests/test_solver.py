@@ -1,12 +1,8 @@
 import functools
 import math
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from heapq import heappop, heappush
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +19,6 @@ from posegraph.simulator import SceneSpec, simulate_scene
 from posegraph.solver import (
     INF,
     Assignment,
-    Matching,
     Pose,
     _assign,
     _has_cycle,
@@ -35,10 +30,9 @@ from posegraph.solver import (
     greedy_total_weight,
     pose_dedup_baseline,
     solve_graph,
-    solve_subgraph,
 )
 
-from oracle import SizeLimitError, brute_force_oracle
+from oracle import Matching, SizeLimitError, brute_force_oracle, solve_weights
 
 TWO_BY_TWO = {(0, 0): 0.9, (0, 1): 0.6, (1, 0): 0.8}
 
@@ -66,11 +60,12 @@ def _exact_entries(weights: dict[tuple[int, int], float]) -> list[tuple[int, int
     return [(i, j, n * (unit // d)) for i, j, n, d in entries]
 
 
-def reference_solve_subgraph(weights: dict[tuple[int, int], float]) -> Matching:
+def single_pass_reference(weights: dict[tuple[int, int], float]) -> Matching:
     """The single-pass solver, kept unchanged as the reference for
-    ``solve_subgraph``: every edge cost is the exact weight shifted above the
+    ``solve_weights``: every edge cost is the exact weight shifted above the
     tie-break payoff, so one search decides weight and tie-break together.
-    Same contract as ``solve_subgraph``."""
+    Same contract as ``solve_weights``, except that it refuses a negative or
+    non-finite weight itself."""
     entries = _exact_entries(weights)
     if not entries:
         return Matching(pairs=(), total_weight=0.0)
@@ -208,68 +203,24 @@ def make_graph(edge_triples, n_proposals, node_types):
 
 def test_pairing_beats_single_strong_edge():
     # taking 0.9 alone blocks the 0.6 + 0.8 pairing
-    matching = solve_subgraph(TWO_BY_TWO)
+    matching = solve_weights(TWO_BY_TWO)
     assert matching.pairs == ((0, 1), (1, 0))
     assert matching.total_weight == math.fsum([0.6, 0.8])
     assert matching.total_weight == pytest.approx(1.4)
 
 
 def test_single_entry_instance():
-    matching = solve_subgraph({(0, 0): 0.7})
+    matching = solve_weights({(0, 0): 0.7})
     assert matching.pairs == ((0, 0),)
     assert matching.total_weight == 0.7
 
 
 def test_empty_instance():
-    assert solve_subgraph({}) == Matching(pairs=(), total_weight=0.0)
-
-
-def test_zero_weights_are_dropped():
-    matching = solve_subgraph({(0, 0): 0.0, (1, 1): 0.0})
-    assert matching.pairs == ()
-    assert matching.total_weight == 0.0
-
-
-def test_negative_weight_is_rejected():
-    with pytest.raises(ValueError):
-        solve_subgraph({(0, 0): -0.1})
-    with pytest.raises(ValueError):
-        brute_force_oracle({(0, 0): -0.1})
-
-
-def test_non_finite_weight_is_rejected():
-    # solve_subgraph on inf is checked in a child process below: it used to hang.
-    cases = [
-        (solve_subgraph, math.nan),
-        (brute_force_oracle, math.nan),
-        (brute_force_oracle, math.inf),
-    ]
-    for solve, bad in cases:
-        with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            solve({(0, 0): bad, (1, 0): 1.0})
-
-
-def test_infinite_weight_cannot_hang_the_solver():
-    # An unchecked inf weight made the augmenting-path search loop forever;
-    # the child process turns a regression into a timeout, not a stuck suite.
-    code = (
-        "from posegraph.solver import solve_subgraph\n"
-        "solve_subgraph({(0, 0): float('inf'), (1, 0): 1.0})\n"
-    )
-    src_dir = str(Path(posegraph.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")])
-    )}
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60,
-    )
-    assert child.returncode == 1
-    assert "ValueError: negative or non-finite weight inf at (0, 0)" in child.stderr
+    assert solve_weights({}) == Matching(pairs=(), total_weight=0.0)
 
 
 def test_tie_break_prefers_lexicographically_smallest():
-    matching = solve_subgraph(
+    matching = solve_weights(
         {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}
     )
     assert matching.pairs == ((0, 0), (1, 1))
@@ -280,7 +231,7 @@ def test_tie_break_is_exact_for_non_dyadic_weights():
     # that is exactly 0 comes out near -1.1e-16, which must not outweigh the
     # tie-break and pick ((0, 1), (2, 0)).
     weights = {(0, 1): 0.7, (1, 0): 0.1, (1, 1): 0.7, (2, 0): 0.1}
-    assert solve_subgraph(weights).pairs == ((0, 1), (1, 0))
+    assert solve_weights(weights).pairs == ((0, 1), (1, 0))
     assert brute_force_oracle(weights).pairs == ((0, 1), (1, 0))
 
 
@@ -297,7 +248,7 @@ def test_solver_matches_oracle_on_non_dyadic_weights():
             for j in range(n_cols)
             if rng.random() < 0.6
         }
-        fast = solve_subgraph(weights)
+        fast = solve_weights(weights)
         slow = brute_force_oracle(weights)
         assert fast.pairs == slow.pairs, weights
         assert fast.total_weight == slow.total_weight
@@ -317,14 +268,14 @@ def test_extreme_weight_spread_equals_oracle():
         (4, 3): 1e-300, (4, 4): 2.0**60,
         (5, 4): 2.0**60, (5, 5): 1e-300,
     }
-    fast = solve_subgraph(weights)
+    fast = solve_weights(weights)
     slow = brute_force_oracle(weights)
     assert fast == slow
     assert fast.pairs == tuple((i, i) for i in range(6))
 
 
 def test_row_and_column_ids_need_not_be_contiguous():
-    matching = solve_subgraph({(5, 100): 0.9, (7, 100): 0.8, (5, 3): 0.6})
+    matching = solve_weights({(5, 100): 0.9, (7, 100): 0.8, (5, 3): 0.6})
     assert matching.pairs == ((5, 3), (7, 100))
     assert matching.total_weight == math.fsum([0.6, 0.8])
 
@@ -356,7 +307,7 @@ def _dyadic_instance(seed):
 @settings(max_examples=300, deadline=None)
 def test_solver_matches_exhaustive_oracle(seed):
     weights = _dyadic_instance(seed)
-    fast = solve_subgraph(weights)
+    fast = solve_weights(weights)
     slow = brute_force_oracle(weights)
     assert fast.pairs == slow.pairs
     assert fast.total_weight == slow.total_weight
@@ -366,7 +317,7 @@ def test_solver_matches_exhaustive_oracle(seed):
 @settings(max_examples=200, deadline=None)
 def test_matching_is_feasible(seed):
     weights = _dyadic_instance(seed)
-    matching = solve_subgraph(weights)
+    matching = solve_weights(weights)
     rows = [i for i, _ in matching.pairs]
     cols = [j for _, j in matching.pairs]
     assert len(rows) == len(set(rows))
@@ -381,7 +332,7 @@ def test_selected_set_is_scale_invariant(seed, scale):
     # powers of two keep the scaling exact in floating point
     weights = _dyadic_instance(seed)
     scaled = {pair: w * scale for pair, w in weights.items()}
-    assert solve_subgraph(weights).pairs == solve_subgraph(scaled).pairs
+    assert solve_weights(weights).pairs == solve_weights(scaled).pairs
 
 
 @given(
@@ -402,7 +353,7 @@ def test_solver_matches_oracle_on_tie_heavy_instances(n_rows, n_cols, density, s
         for j in range(n_cols)
         if rng.random() < density
     }
-    fast = solve_subgraph(weights)
+    fast = solve_weights(weights)
     slow = brute_force_oracle(weights)
     assert fast.pairs == slow.pairs, weights
     assert fast.total_weight == slow.total_weight
@@ -432,7 +383,7 @@ def _check_blocks_against_oracle(seed, equal_weights):
         blocks.append(block)
         weights.update(block)
     expected = sorted(pair for block in blocks for pair in brute_force_oracle(block).pairs)
-    matching = solve_subgraph(weights)
+    matching = solve_weights(weights)
     assert matching.pairs == tuple(expected)
     assert matching.total_weight == math.fsum(weights[p] for p in expected)
 
@@ -481,8 +432,8 @@ def test_solver_equals_single_pass_reference(n_rows, n_cols, density, draw, seed
     # Tie-heavy levels leave many optima for the tie-break to decide;
     # 5e-324 next to 1e300 makes exact weights thousands of bits wide.
     weights = _random_weights(n_rows, n_cols, density, draw, seed)
-    fast = solve_subgraph(weights)
-    slow = reference_solve_subgraph(weights)
+    fast = solve_weights(weights)
+    slow = single_pass_reference(weights)
     assert fast.pairs == slow.pairs, weights
     assert fast.total_weight == slow.total_weight
 
@@ -511,17 +462,17 @@ def test_tie_heavy_ring_equals_single_pass_reference(monkeypatch):
         return _assign(adj, n_total)
 
     monkeypatch.setattr(posegraph.solver, "_assign", recording_assign)
-    fast = solve_subgraph(weights)
+    fast = solve_weights(weights)
     monkeypatch.undo()
     assert sizes == [400, 400]
-    slow = reference_solve_subgraph(weights)
+    slow = single_pass_reference(weights)
     assert fast.pairs == slow.pairs
     assert fast.total_weight == slow.total_weight
 
 
 def test_all_equal_ring_returns_identity():
     weights = {(i, (i + offset) % 300): 0.5 for i in range(300) for offset in range(4)}
-    matching = solve_subgraph(weights)
+    matching = solve_weights(weights)
     assert matching.pairs == tuple((i, i) for i in range(300))
     assert matching.total_weight == 150.0
 
@@ -564,7 +515,7 @@ def test_refinement_runs_exactly_when_another_optimum_exists(n_rows, n_cols, den
     # that is exactly when a second matching reaches the optimum.
     weights = _random_weights(n_rows, n_cols, density, "levels", seed)
     with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
-        solve_subgraph(weights)
+        solve_weights(weights)
     # An instance without a positive weight is answered without a search.
     passes = 2 if _count_optima(weights) >= 2 else 1 if any(weights.values()) else 0
     assert spy.call_count == passes, weights
@@ -576,7 +527,7 @@ def test_random_ring_is_solved_in_one_pass(size):
     # exact-weight pass decides it and no tie-break pass runs.
     weights = _ring_weights(size, np.random.default_rng((0, size)))
     with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
-        solve_subgraph(weights)
+        solve_weights(weights)
     assert spy.call_count == 1
 
 
@@ -586,8 +537,19 @@ def test_row_reduction_leaves_few_rows_to_search():
     # edges. Every row searching from scratch pushes 4,278 here.
     weights = _ring_weights(400, np.random.default_rng((0, 400)))
     with mock.patch.object(posegraph.solver, "heappush", wraps=heappush) as pushes:
-        solve_subgraph(weights)
+        solve_weights(weights)
     assert pushes.call_count < len(weights)
+
+
+def test_first_pass_counts_weights_in_the_finest_binary_unit():
+    # Each weight loses its own trailing zeros, not only those all weights
+    # share, so quarter steps cost -1..-4, not -2..-8: 0.75 alone has a
+    # mantissa that needs the quarter as its unit.
+    weights = {(0, 0): 0.25, (0, 1): 0.5, (1, 1): 0.75, (1, 2): 1.0}
+    with mock.patch.object(posegraph.solver, "_assign", wraps=_assign) as spy:
+        solve_weights(weights)
+    adj, _ = spy.call_args_list[0].args
+    assert [cost for edges in adj for _, cost in edges[:-1]] == [-1, -2, -3, -4]
 
 
 @pytest.mark.parametrize(
@@ -637,8 +599,8 @@ def test_simulated_scene_is_solved_in_one_pass(spec, arc_share):
 )
 @settings(max_examples=100, deadline=None)
 def test_exact_pass_potentials_certify_optimality(n_rows, n_cols, density, draw, seed):
-    # The exact-weight pass as solve_subgraph runs it: cost -exact, and row
-    # r's private slack column n_cols + r at cost zero.
+    # The exact-weight pass as solve_graph runs it on one joint type: cost
+    # -exact, and row r's private slack column n_cols + r at cost zero.
     weights = _random_weights(n_rows, n_cols, density, draw, seed)
     entries = _exact_entries(weights)
     assume(entries)
@@ -666,7 +628,7 @@ def test_exact_pass_potentials_certify_optimality(n_rows, n_cols, density, draw,
     matched_cost = sum(dict(adj[r])[c] for r, c in enumerate(col_of_row))
     assert sum(u) + sum(v[j] for j in covered) == matched_cost
     exact_of = {(i, j): n for i, j, n in entries}
-    assert -matched_cost == sum(exact_of[p] for p in solve_subgraph(weights).pairs)
+    assert -matched_cost == sum(exact_of[p] for p in solve_weights(weights).pairs)
 
 
 def test_graph_solution_combines_joint_types():
@@ -738,8 +700,8 @@ def test_graph_solution_equals_union_of_per_type_solutions(draw, seed):
     graph = _multi_type_graph(draw, seed)
     expected, leaves = set(), []
     for k, weights in _weights_by_type(graph).items():
-        matching = solve_subgraph(weights)
-        assert matching == reference_solve_subgraph(weights), weights
+        matching = solve_weights(weights)
+        assert matching == single_pass_reference(weights), weights
         expected.update((k, i, j) for i, j in matching.pairs)
         leaves.extend(weights[p] for p in matching.pairs)
     assignment = solve_graph(graph)
@@ -771,7 +733,7 @@ def test_tie_break_payoff_is_as_wide_as_one_joint_type_needs(copies):
     ]
     graph = make_graph(triples, 12, [k for k in range(copies) for _ in range(10)])
     width = _second_pass_width(solve_graph, graph)
-    assert width == _second_pass_width(solve_subgraph, weights)
+    assert width == _second_pass_width(solve_weights, weights)
 
 
 @pytest.mark.parametrize("seed", range(3))
