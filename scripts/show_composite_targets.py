@@ -43,9 +43,7 @@ def main() -> int:
 
     target = [(16.0, 40.0)]
     interference = [(44.0, 24.0), (48.0, 60.0)]
-    comp = compose_training_target(
-        target, interference, mu=args.mu, sigma=args.sigma, width=64, height=80
-    )
+    comp = compose_training_target(target, interference, mu=args.mu, sigma=args.sigma)
     grid = comp.composite_values()
 
     print(f"composite target, mu={args.mu} (target left, interference right):\n")
@@ -57,7 +55,7 @@ def main() -> int:
         kind = "target" if location in target else "interference"
         print(f"  {location}  {response:.3f}  <- {kind}")
 
-    naive = render_gaussian(target + interference, args.sigma, 64, 80)
+    naive = render_gaussian(target + interference, args.sigma)
     print(f"\nloss(perfect prediction)          = {jc_loss([perfect], [comp]):.6f}")
     print(f"loss(full-strength interference)  = {jc_loss([naive], [comp]):.6f}")
     return 0

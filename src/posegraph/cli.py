@@ -68,14 +68,12 @@ def _collect(path: Path, suffix: str) -> list[Path]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     if args.persons is not None:
         args.person_min = args.person_max = args.persons
     # SceneSpec owns every default and range: a bad value stops before any write.
-    # A flag overrides the config file, which overrides the default.
     names = [field.name for field in dataclasses.fields(SceneSpec)]
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    spec = SceneSpec(**{"mu": config.mu, "sigma": config.sigma, **given})
+    spec = SceneSpec(**given)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     achieved = []
@@ -216,7 +214,6 @@ def make_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--mu", type=float)
     synth.add_argument("--sigma", type=float)
-    synth.add_argument("--config", default=None)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
 

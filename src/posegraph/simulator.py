@@ -59,8 +59,8 @@ class SceneSpec:
     ``fp_rate`` controls both redundant duplicate proposals and spurious
     candidates; ``missing_rate`` drops a proposal's own-joint detections;
     ``mu`` is the response level of interference candidates; ``sigma`` is
-    the Gaussian response size recorded on every candidate. The CLI and
-    ``Config`` check these settings by building one.
+    the Gaussian response size recorded on every candidate. The synth
+    command checks its flags by building one.
     """
 
     person_min: int = 2

@@ -9,6 +9,7 @@ import pytest
 import posegraph
 from posegraph.cli import main
 from posegraph.formats import candidates_to_payload, dump_json, read_json
+from posegraph.joints import OKS_SIGMAS, default_grouping_deltas
 from posegraph.simulator import SceneSpec, simulate_scene
 
 
@@ -89,17 +90,6 @@ def test_synth_refuses_a_bad_setting_before_writing(tmp_path, capsys, flags, mes
     assert code == 2
     assert message in stderr
     assert stdout == ""
-    assert not (tmp_path / "x").exists()
-
-
-def test_synth_bad_config_value_names_the_scene_spec_field(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text('{"sigma": 1e-7}')
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
-    )
-    assert code == 2
-    assert "sigma must be positive and finite, and above 5e-07" in stderr
     assert not (tmp_path / "x").exists()
 
 
@@ -283,9 +273,9 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
         ("annotations", {**_ANNOTATIONS, "images": 5}, "images"),
         ("results", {**_RESULTS, "poses": [_POSE]},
          "pose keypoint field 'x' must be a number, got null"),
-        ("config", {"mu": "abc"}, "'mu' must be a number, got a string"),
-        ("config", {"mu": True}, "'mu' must be a number, got a boolean"),
-        ("config", {"sigma": [2]}, "'sigma' must be a number, got a list"),
+        ("config", {"delta": ["abc"]}, "'delta' must be a number, got a string"),
+        ("config", {"oks_sigmas": [True]}, "'oks_sigmas' must be a number, got a boolean"),
+        ("config", {"delta": [[2]]}, "'delta' must be a number, got a list"),
         ("config", {"delta": 5}, "'delta' must be a list of numbers"),
         # int() once truncated a non-integral id or count silently (1.5 -> 1)
         ("candidates", {**_CANDIDATES, "image_id": 3.7},
@@ -331,8 +321,8 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
         ("results", [], "results document must be a JSON object"),
     ],
     ids=["proposals-number", "provenance-number", "x-list", "image_id-null",
-         "bbox-null", "images-number", "keypoint-null", "mu-string", "mu-boolean",
-         "sigma-list", "delta-number", "image_id-fraction", "proposal_id-fraction",
+         "bbox-null", "images-number", "keypoint-null", "delta-entry-string",
+         "oks_sigmas-entry-boolean", "delta-entry-list", "delta-number", "image_id-fraction", "proposal_id-fraction",
          "joint_type-fraction", "provenance-person_id-fraction",
          "provenance-joint_type-fraction", "image-id-fraction", "width-fraction",
          "height-fraction", "person_id-fraction", "visibility-fraction",
@@ -469,12 +459,21 @@ def test_evaluate_error_names_the_file(tmp_path, capsys, kind, edit, message):
     assert stdout == ""
 
 
-def test_config_error_names_the_file_once(tmp_path, capsys):
+def _associate_with_config(tmp_path, capsys, text):
+    # associate on one small candidates file, with ``text`` as its config file.
+    (tmp_path / "in.candidates.json").write_text(json.dumps(_CANDIDATES))
     config = tmp_path / "config.json"
-    config.write_text("[1, 2]")
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    config.write_text(text)
+    written = tmp_path / "out.results.json"
+    code, stdout, stderr = run(
+        capsys, "associate", str(tmp_path / "in.candidates.json"),
+        "--config", str(config), "--out", str(written),
     )
+    return code, stdout, stderr, config, written
+
+
+def test_config_error_names_the_file_once(tmp_path, capsys):
+    code, _, stderr, config, _ = _associate_with_config(tmp_path, capsys, "[1, 2]")
     assert code == 2
     assert stderr == f"error: {config}: config file must hold a JSON object\n"
 
@@ -732,14 +731,12 @@ def test_associate_oversized_integer_is_named_error(tmp_path, capsys):
 
 
 def test_config_oversized_integer_is_named_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(f'{{"sigma": {_HUGE_INT}}}')
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
+    code, _, stderr, config, written = _associate_with_config(
+        tmp_path, capsys, f'{{"delta": [{_HUGE_INT}]}}'
     )
     assert code == 2
-    assert stderr == f"error: {config}: config file field 'sigma' is beyond the float range\n"
-    assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
+    assert stderr == f"error: {config}: config file field 'delta' is beyond the float range\n"
+    assert not written.exists()
 
 
 def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
@@ -752,37 +749,28 @@ def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     assert "error" in stderr
 
 
-def test_cli_flag_overrides_config_file(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text('{"mu": 0.9}')
-    base = ["synth", "--scenes", "1", "--crowd-index", "0.8", "--seed", "11"]
-    a, b, c = (tmp_path / n for n in ("a", "b", "c"))
-    assert main(base + ["--config", str(config), "--mu", "0.2", "--out", str(a)]) == 0
-    assert main(base + ["--mu", "0.2", "--out", str(b)]) == 0
-    assert main(base + ["--mu", "0.9", "--out", str(c)]) == 0
-    capsys.readouterr()
-    name = "scene_000.candidates.json"
-    assert (a / name).read_bytes() == (b / name).read_bytes()
-    assert (a / name).read_bytes() != (c / name).read_bytes()
-
-
 @pytest.mark.parametrize(
     "command,config,message",
     [
-        ("synth", {"mu": 2}, "mu must lie in [0, 1], got 2.0"),
+        ("associate", {"delta": [1.0] * 5}, "delta must have one entry per joint"),
         ("associate", {"delta": [0.0] * 14}, "every delta entry must be positive"),
         ("evaluate", {"oks_sigmas": [0.1, 0.1]}, "oks_sigmas must have 14 entries"),
+        # Every synth setting is a synth flag, so a config file cannot name one.
+        ("associate", {"mu": 0.5}, "unknown config field(s): mu"),
+        ("evaluate", {"mu": 0.5}, "unknown config field(s): mu"),
+        ("associate", {"sigma": 2.0}, "unknown config field(s): sigma"),
+        ("evaluate", {"sigma": 2.0}, "unknown config field(s): sigma"),
     ],
 )
 def test_config_range_error_names_the_file(tmp_path, capsys, command, config, message):
-    # Config checks its ranges while the file is read, so the message names it.
+    # Config checks its keys and ranges while the file is read, so the
+    # message names it.
     scenes, _ = synth_clean(tmp_path, capsys)
     assert main(["associate", str(scenes)]) == 0
     capsys.readouterr()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = {
-        "synth": ["--out", str(tmp_path / "x")],
         "associate": [str(scenes), "--out", str(tmp_path / "x")],
         "evaluate": ["--results", str(scenes), "--annotations", str(scenes),
                      "--out", str(tmp_path / "x")],
@@ -794,38 +782,63 @@ def test_config_range_error_names_the_file(tmp_path, capsys, command, config, me
     assert not (tmp_path / "x").exists()
 
 
-def test_flag_does_not_excuse_a_bad_config_file(tmp_path, capsys):
-    # The file is checked whole, even where a flag overrides its value.
-    path = tmp_path / "config.json"
-    path.write_text('{"mu": 2}')
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(path), "--mu", "0.3", "--out", str(tmp_path / "y")
-    )
-    assert code == 2
-    assert stderr == f"error: {path}: mu must lie in [0, 1], got 2.0\n"
-    assert not (tmp_path / "y").exists()
-
-
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text('{"muu": 0.9}')
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
-    )
+    code, _, stderr, _, _ = _associate_with_config(tmp_path, capsys, '{"deltaa": [0.9]}')
     assert code == 2
-    assert "muu" in stderr
+    assert "deltaa" in stderr
 
 
 def test_config_file_cannot_set_the_seed(tmp_path, capsys):
     # --seed alone decides the scenes, so a config file cannot name a seed.
-    config = tmp_path / "config.json"
-    config.write_text('{"seed": 7}')
-    code, _, stderr = run(
-        capsys, "synth", "--config", str(config), "--out", str(tmp_path / "x")
-    )
+    code, _, stderr, _, written = _associate_with_config(tmp_path, capsys, '{"seed": 7}')
     assert code == 2
     assert "unknown config field(s): seed" in stderr
-    assert not (tmp_path / "x" / "scene_000.candidates.json").exists()
+    assert not written.exists()
+
+
+def test_synth_takes_no_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_of_the_default_tables_changes_nothing(tmp_path, capsys):
+    scenes, _ = synth_clean(tmp_path, capsys)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"delta": list(default_grouping_deltas()), "oks_sigmas": list(OKS_SIGMAS)}
+    ))
+    for name, config in (("plain", []), ("configured", ["--config", str(path)])):
+        assert main(["associate", str(scenes), "--out", str(tmp_path / name), *config]) == 0
+        assert main(["evaluate", "--results", str(tmp_path / name), "--annotations",
+                     str(scenes), "--out", str(tmp_path / f"{name}.json"), *config]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "configured").iterdir())
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "configured" / name).read_bytes()
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "configured.json").read_bytes()
+
+
+def test_config_delta_reaches_associate(tmp_path, capsys):
+    # A wider grouping tolerance merges more candidates into fewer nodes.
+    scenes = tmp_path / "scenes"
+    assert main(["synth", "--seed", "0", "--out", str(scenes)]) == 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"delta": [2 * d for d in default_grouping_deltas()]}))
+    capsys.readouterr()
+    nodes = []
+    for config in ([], ["--config", str(path)]):
+        code, stdout, _ = run(capsys, "associate", str(scenes / "scene_000.candidates.json"),
+                              "--out", str(tmp_path / "out.results.json"), *config)
+        assert code == 0
+        nodes.append(int(stdout.split("nodes=")[1].split()[0]))
+    assert nodes[1] < nodes[0]
 
 
 def test_synth_rejects_negative_seed(tmp_path, capsys):

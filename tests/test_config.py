@@ -8,8 +8,6 @@ from posegraph.joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
 
 def test_defaults():
     config = Config()
-    assert config.mu == 0.5
-    assert config.sigma == 2.0
     assert config.delta == default_grouping_deltas()
     assert config.oks_sigmas == OKS_SIGMAS
     assert len(config.delta) == JOINT_COUNT
@@ -18,12 +16,12 @@ def test_defaults():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("mu", -0.1),
-        ("mu", 1.1),
-        ("mu", float("nan")),
-        ("sigma", 0.0),
-        ("sigma", float("inf")),
-        ("sigma", float("nan")),
+        ("delta", (-1.0,) * JOINT_COUNT),
+        ("delta", (float("inf"),) * JOINT_COUNT),
+        ("delta", (1.0,) * (JOINT_COUNT + 1)),
+        ("oks_sigmas", (0.0,) * JOINT_COUNT),
+        ("oks_sigmas", (-0.1,) * JOINT_COUNT),
+        ("oks_sigmas", (float("nan"),) * JOINT_COUNT),
         ("delta", (float("nan"),) * JOINT_COUNT),
         ("delta", (1.0,) * 5),
         ("delta", (0.0,) * JOINT_COUNT),
@@ -38,31 +36,32 @@ def test_validation_rejects_out_of_range(field, value):
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"mu": 0.25, "sigma": 3.0}')
-    assert load_config_file(path) == Config(mu=0.25, sigma=3.0)
+    delta = (3.0,) * JOINT_COUNT
+    path.write_text(json.dumps({"delta": delta, "oks_sigmas": [0.5] * JOINT_COUNT}))
+    assert load_config_file(path) == Config(delta=delta, oks_sigmas=(0.5,) * JOINT_COUNT)
 
 
 def test_load_config_file_reads_an_integer_as_a_float(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"mu": 1, "delta": [2] * JOINT_COUNT}))
+    path.write_text(json.dumps({"oks_sigmas": [1] * JOINT_COUNT, "delta": [2] * JOINT_COUNT}))
     config = load_config_file(path)
-    assert type(config.mu) is float and config.mu == 1.0
-    assert all(type(v) is float for v in config.delta)
+    assert config.oks_sigmas == (1.0,) * JOINT_COUNT
+    assert all(type(v) is float for v in config.oks_sigmas + config.delta)
 
 
 def test_load_config_file_checks_ranges(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"mu": 2}')
-    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 2.0"):
+    path.write_text(json.dumps({"delta": [2.0] * 13 + [0.0]}))
+    with pytest.raises(ValueError, match=r"every delta entry must be positive"):
         load_config_file(path)
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
     # A typo, and the keys of Config fields that no longer exist.
     path = tmp_path / "config.json"
-    for key in ("muu", "heatmap_width", "heatmap_height", "peak_threshold",
+    for key in ("deltaa", "mu", "sigma", "heatmap_width", "heatmap_height", "peak_threshold",
                 "peak_window", "nms_iou", "oks_dedup", "oracle_limit", "seed"):
-        path.write_text(json.dumps({"mu": 0.25, key: 1}))
+        path.write_text(json.dumps({"delta": [2.0] * JOINT_COUNT, key: 1}))
         with pytest.raises(ValueError) as err:
             load_config_file(path)
         assert key in str(err.value)
@@ -77,15 +76,15 @@ def test_load_config_file_rejects_non_object(tmp_path):
 
 def test_load_config_file_rejects_non_finite_token(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"mu": NaN}')
+    path.write_text('{"oks_sigmas": [NaN]}')
     with pytest.raises(ValueError, match="NaN"):
         load_config_file(path)
 
 
 def test_build_config_without_overrides_is_the_default():
     assert build_config() == Config()
-    config = build_config(file_overrides={"mu": 0.25})
-    assert config.mu == 0.25
+    config = build_config(file_overrides={"oks_sigmas": [0.5] * JOINT_COUNT})
+    assert config.oks_sigmas == (0.5,) * JOINT_COUNT
     assert config.delta == default_grouping_deltas()  # the file did not set it
 
 
@@ -101,4 +100,4 @@ def test_build_config_rejects_unknown_override():
 
 def test_config_is_frozen():
     with pytest.raises(Exception):
-        Config().mu = 0.9
+        Config().delta = (1.0,) * JOINT_COUNT

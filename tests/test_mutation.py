@@ -1,10 +1,12 @@
 """No document a command reads can make it escape with an exception.
 
 Each example takes a valid candidates, annotations or results file made from
-a small synth scene, sets one leaf or container of it to a value from a fixed
-pool, and runs ``cli.main`` in-process on the result. Every outcome must be
-an exit code (0, 1 or 2); a traceback fails the test, and so does an exit-2
-message that does not name the mutated file.
+a small synth scene, or a config file holding both default tables, sets one
+leaf or container of it to a value from a fixed pool, and runs ``cli.main``
+in-process on the result: a config file through both ``associate`` and
+``evaluate``. Every outcome must be an exit code (0, 1 or 2); a traceback
+fails the test, and so does an exit-2 message that does not name the mutated
+file.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from posegraph.cli import main
 from posegraph.formats import read_json
+from posegraph.joints import OKS_SIGMAS, default_grouping_deltas
 
 POOL = (None, True, "x", [], {}, -1, 0, 1.5, 1e308, -0.0, 10**400)
 
@@ -55,15 +58,33 @@ def workdir():
         scenes = root / "scenes"
         assert _run("synth", "--persons", "2", "--seed", "3", "--out", str(scenes))[0] == 0
         assert _run("associate", str(scenes))[0] == 0
+        (scenes / "scene_000.config.json").write_text(json.dumps(
+            {"delta": list(default_grouping_deltas()), "oks_sigmas": list(OKS_SIGMAS)}
+        ))
         yield root
 
 
+def _associate(d, candidates, *config):
+    return ("associate", str(candidates), "--out", str(d / "out.results.json"), *config)
+
+
+def _evaluate(d, results, annotations, *config):
+    return ("evaluate", "--results", str(results), "--annotations", str(annotations),
+            *config)
+
+
+def _scene(d, kind):
+    return d / "scenes" / f"scene_000.{kind}.json"
+
+
 COMMANDS = {
-    "candidates": lambda d, f: ("associate", str(f), "--out", str(d / "out.results.json")),
-    "annotations": lambda d, f: ("evaluate", "--annotations", str(f), "--results",
-                                 str(d / "scenes" / "scene_000.results.json")),
-    "results": lambda d, f: ("evaluate", "--results", str(f), "--annotations",
-                             str(d / "scenes" / "scene_000.annotations.json")),
+    "candidates": lambda d, f: [_associate(d, f)],
+    "annotations": lambda d, f: [_evaluate(d, _scene(d, "results"), f)],
+    "results": lambda d, f: [_evaluate(d, f, _scene(d, "annotations"))],
+    "config": lambda d, f: [
+        _associate(d, _scene(d, "candidates"), "--config", str(f)),
+        _evaluate(d, _scene(d, "results"), _scene(d, "annotations"), "--config", str(f)),
+    ],
 }
 
 
@@ -77,9 +98,10 @@ def test_one_mutated_value_never_escapes_main(workdir, kind):
     @given(path=st.sampled_from(paths), value=st.sampled_from(POOL))
     def check(path, value):
         target.write_text(json.dumps(_replaced(valid, path, value)))
-        code, stderr = _run(*COMMANDS[kind](workdir, target))
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert stderr.startswith(f"error: {target}: "), stderr
+        for argv in COMMANDS[kind](workdir, target):
+            code, stderr = _run(*argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert stderr.startswith(f"error: {target}: "), stderr
 
     check()
