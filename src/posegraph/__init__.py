@@ -6,7 +6,7 @@ assignment, with greedy and pose-suppression baselines, crowding metrics,
 a synthetic scene generator, and a CLI tying the stages together.
 """
 
-from .config import Config, build_config, load_config_file
+from .config import build_config, load_config_file
 from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .graph import Edge, PersonJointGraph, PersonProposal, build_graph, degree_stats
 from .grouping import (
@@ -58,7 +58,6 @@ __all__ = [
     "Assignment",
     "CandidateJoint",
     "CompositeTarget",
-    "Config",
     "CrowdingLevel",
     "Edge",
     "EvalReport",

@@ -13,7 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import Config, load_config_file
+from .config import load_config_file
 from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .formats import (
     annotations_to_payload,
@@ -45,9 +45,9 @@ def _naming(path: str | Path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> Config:
+def _config_from_args(args: argparse.Namespace) -> JointSpec:
     if not args.config:
-        return Config()
+        return JointSpec()
     with _naming(args.config):
         return load_config_file(args.config)
 
@@ -110,7 +110,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_associate(args: argparse.Namespace) -> int:
-    spec = JointSpec(delta=_config_from_args(args).delta)
+    spec = _config_from_args(args)
     out = Path(args.out) if args.out else None
     into_dir = out is not None and (Path(args.input).is_dir() or out.is_dir())
     for path in _collect(Path(args.input), ".candidates.json"):
@@ -142,7 +142,7 @@ def cmd_associate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    spec = _config_from_args(args)
     # metrics.evaluate owns the image-id rules; the checks here only name
     # the files that break them.
     annotations: list[SceneAnnotation] = []
@@ -171,11 +171,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         predictions[image_id] = poses
         source_of[image_id] = path
-    report = evaluate(predictions, annotations, sigmas=config.oks_sigmas)
+    report = evaluate(predictions, annotations, sigmas=spec.oks_sigmas)
+    if args.out:
+        write_json_atomic(args.out, report_to_payload(report))
     for key, value in report.to_dict().items():
         print(f"{key:12s} {value:.4f}")
     if args.out:
-        write_json_atomic(args.out, report_to_payload(report))
         print(f"report written to {args.out}")
     return 0
 
@@ -225,14 +226,14 @@ def make_parser() -> argparse.ArgumentParser:
                            default="global")
     associate.add_argument("--out", default=None, help="results directory if the "
                            "input or --out is a directory, else results file")
-    associate.add_argument("--config", default=None)
+    associate.add_argument("--config", help="JSON file; only its 'delta' table is read")
     associate.set_defaults(func=cmd_associate)
 
     evaluate_ = sub.add_parser("evaluate", help="score results against annotations")
     evaluate_.add_argument("--results", required=True)
     evaluate_.add_argument("--annotations", required=True)
     evaluate_.add_argument("--out", default=None, help="report JSON path")
-    evaluate_.add_argument("--config", default=None)
+    evaluate_.add_argument("--config", help="JSON file; only its 'oks_sigmas' table is read")
     evaluate_.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -105,21 +105,24 @@ def dump_json(payload: Any) -> str:
 
 def write_json_atomic(path: str | Path, payload: Any) -> None:
     """Write through a uniquely named temp file in the target's directory,
-    synced to disk before it replaces the target; the temp file is removed
-    if anything fails. It is created with mode 0o666 under the umask in
-    force, so the file gets the mode a plain open() would give it."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    synced to disk before it replaces the target and removed if anything
+    fails; an OSError names ``path``, not the temp file. The temp file gets
+    mode 0o666 under the umask in force, as a plain open() would give it."""
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(dump_json(payload))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _reject_constant(token: str) -> None:

@@ -1,9 +1,10 @@
-"""Joint vocabulary: the 14-keypoint skeleton and per-joint tolerance tables."""
+"""Joint vocabulary: the 14-keypoint skeleton and its two per-joint tables."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 JOINT_COUNT = 14
 
@@ -46,15 +47,25 @@ def default_grouping_deltas() -> tuple[float, ...]:
     return tuple(s / mean for s in OKS_SIGMAS)
 
 
+def check_oks_sigmas(sigmas: Sequence[float]) -> None:
+    """Raise ValueError unless there is one positive, finite sigma per joint."""
+    if len(sigmas) != JOINT_COUNT:
+        raise ValueError(f"oks_sigmas must have {JOINT_COUNT} entries")
+    if not all(0.0 < v < math.inf for v in sigmas):
+        raise ValueError("oks_sigmas entries must be positive and finite")
+
+
 @dataclass(frozen=True, slots=True)
 class JointSpec:
-    """The per-joint control deviation used when clustering candidate joints,
-    one entry per joint of the ``JOINT_COUNT``-joint vocabulary."""
+    """Both per-joint tables: ``delta``, the control deviation that groups
+    candidate joints, and ``oks_sigmas``, the OKS falloff constants."""
 
     delta: tuple[float, ...] = field(default_factory=default_grouping_deltas)
+    oks_sigmas: tuple[float, ...] = OKS_SIGMAS
 
     def __post_init__(self):
         if len(self.delta) != JOINT_COUNT:
             raise ValueError("delta must have one entry per joint")
         if not all(0.0 < d < math.inf for d in self.delta):
             raise ValueError("every delta entry must be positive and finite")
+        check_oks_sigmas(self.oks_sigmas)

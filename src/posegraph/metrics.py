@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import IntegrityError, UndefinedMetricError
-from .joints import JOINT_COUNT, OKS_SIGMAS
+from .joints import JOINT_COUNT, OKS_SIGMAS, check_oks_sigmas
 
 if TYPE_CHECKING:
     from .solver import Pose
@@ -35,14 +35,6 @@ def check_bbox(bbox: tuple[float, float, float, float]) -> None:
     if not (math.isfinite(x) and math.isfinite(y) and w > 0 and h > 0
             and 0 < w * h < math.inf):
         raise ValueError(f"bbox must be finite with positive area, got {bbox}")
-
-
-def check_oks_sigmas(sigmas: Sequence[float]) -> None:
-    """Raise ValueError unless there is one positive, finite sigma per joint."""
-    if len(sigmas) != JOINT_COUNT:
-        raise ValueError(f"oks_sigmas must have {JOINT_COUNT} entries")
-    if not all(0.0 < v < math.inf for v in sigmas):
-        raise ValueError("oks_sigmas entries must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)

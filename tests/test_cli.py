@@ -763,8 +763,8 @@ def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     ],
 )
 def test_config_range_error_names_the_file(tmp_path, capsys, command, config, message):
-    # Config checks its keys and ranges while the file is read, so the
-    # message names it.
+    # load_config_file checks the keys and JointSpec the ranges while the
+    # file is read, so the message names it.
     scenes, _ = synth_clean(tmp_path, capsys)
     assert main(["associate", str(scenes)]) == 0
     capsys.readouterr()
@@ -823,6 +823,62 @@ def test_config_file_of_the_default_tables_changes_nothing(tmp_path, capsys):
         assert (tmp_path / "plain" / name).read_bytes() == (
             tmp_path / "configured" / name).read_bytes()
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "configured.json").read_bytes()
+
+
+def test_each_command_reads_only_its_own_table(tmp_path, capsys):
+    # Both commands load one JointSpec. Each table changes the output of the
+    # command that reads it, and nothing in the other command's output. With
+    # half-pixel noise these scenes score alike for any sigma from 0.03 up.
+    scenes = tmp_path / "scenes"
+    assert main(["synth", "--scenes", "2", "--seed", "0", "--out", str(scenes)]) == 0
+    tables = {"sigmas": {"oks_sigmas": [0.01] * 14},
+              "delta": {"delta": [2 * d for d in default_grouping_deltas()]}}
+    configs = {"plain": []}
+    for name, table in tables.items():
+        (tmp_path / f"{name}.config.json").write_text(json.dumps(table))
+        configs[name] = ["--config", str(tmp_path / f"{name}.config.json")]
+    for name, config in configs.items():
+        assert main(["associate", str(scenes), "--out", str(tmp_path / name), *config]) == 0
+        assert main(["evaluate", "--results", str(tmp_path / "plain"), "--annotations",
+                     str(scenes), "--out", str(tmp_path / f"{name}.json"), *config]) == 0
+    capsys.readouterr()
+
+    def results(name):
+        return [p.read_bytes() for p in sorted((tmp_path / name).iterdir())]
+
+    def report(name):
+        return (tmp_path / f"{name}.json").read_bytes()
+
+    assert results("sigmas") == results("plain")
+    assert report("delta") == report("plain")
+    assert results("delta") != results("plain")
+    assert report("sigmas") != report("plain")
+
+
+@pytest.mark.parametrize(
+    "command,out,code,message",
+    [
+        ("evaluate", "missing/report.json", 2, "No such file or directory"),
+        ("associate", "missing/x.results.json", 2, "No such file or directory"),
+        ("evaluate", "scenes", 1, "Is a directory"),
+    ],
+)
+def test_failed_write_prints_nothing_and_names_the_given_path(
+    tmp_path, capsys, monkeypatch, command, out, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    scenes, _ = synth_clean(tmp_path, capsys)
+    assert main(["associate", str(scenes)]) == 0
+    capsys.readouterr()
+    argv = {
+        "evaluate": ["--results", "scenes", "--annotations", "scenes"],
+        "associate": ["scenes/scene_000.candidates.json"],
+    }[command]
+    got, stdout, stderr = run(capsys, command, *argv, "--out", out)
+    assert got == code
+    assert stdout == ""
+    assert stderr.endswith(f"{message}: {out!r}\n")
+    assert ".tmp" not in stderr
 
 
 def test_config_delta_reaches_associate(tmp_path, capsys):

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from posegraph.config import Config, build_config, load_config_file
-from posegraph.joints import JOINT_COUNT, OKS_SIGMAS, default_grouping_deltas
+from posegraph.config import build_config, load_config_file
+from posegraph.joints import JOINT_COUNT, OKS_SIGMAS, JointSpec, default_grouping_deltas
 
 
 def test_defaults():
-    config = Config()
+    config = JointSpec()
     assert config.delta == default_grouping_deltas()
     assert config.oks_sigmas == OKS_SIGMAS
     assert len(config.delta) == JOINT_COUNT
@@ -31,14 +31,14 @@ def test_defaults():
 )
 def test_validation_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
-        Config(**{field: value})
+        JointSpec(**{field: value})
 
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
     delta = (3.0,) * JOINT_COUNT
     path.write_text(json.dumps({"delta": delta, "oks_sigmas": [0.5] * JOINT_COUNT}))
-    assert load_config_file(path) == Config(delta=delta, oks_sigmas=(0.5,) * JOINT_COUNT)
+    assert load_config_file(path) == JointSpec(delta=delta, oks_sigmas=(0.5,) * JOINT_COUNT)
 
 
 def test_load_config_file_reads_an_integer_as_a_float(tmp_path):
@@ -57,7 +57,7 @@ def test_load_config_file_checks_ranges(tmp_path):
 
 
 def test_load_config_file_rejects_unknown_key(tmp_path):
-    # A typo, and the keys of Config fields that no longer exist.
+    # A typo, and the keys of config fields that no longer exist.
     path = tmp_path / "config.json"
     for key in ("deltaa", "mu", "sigma", "heatmap_width", "heatmap_height", "peak_threshold",
                 "peak_window", "nms_iou", "oks_dedup", "oracle_limit", "seed"):
@@ -82,7 +82,7 @@ def test_load_config_file_rejects_non_finite_token(tmp_path):
 
 
 def test_build_config_without_overrides_is_the_default():
-    assert build_config() == Config()
+    assert build_config() == JointSpec()
     config = build_config(file_overrides={"oks_sigmas": [0.5] * JOINT_COUNT})
     assert config.oks_sigmas == (0.5,) * JOINT_COUNT
     assert config.delta == default_grouping_deltas()  # the file did not set it
@@ -100,4 +100,4 @@ def test_build_config_rejects_unknown_override():
 
 def test_config_is_frozen():
     with pytest.raises(Exception):
-        Config().delta = (1.0,) * JOINT_COUNT
+        JointSpec().delta = (1.0,) * JOINT_COUNT

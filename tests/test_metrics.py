@@ -344,8 +344,9 @@ def test_evaluate_rejects_duplicate_image_id(order):
     ids=["inf", "nan", "zero", "negative", "twenty"],
 )
 def test_evaluate_checks_oks_sigmas(sigmas, message):
-    # Only Config checked sigmas; a library call with infinite sigmas scored
-    # any prediction, however far, as a match.
+    # JointSpec checks a config file's sigmas, but a library call passes them
+    # to evaluate directly; infinite sigmas once scored any prediction, however
+    # far, as a match.
     scene = _far_apart_scene(0)
     with pytest.raises(ValueError, match=message):
         evaluate({0: [pose_from(scene.persons[0])]}, [scene], sigmas=sigmas)
