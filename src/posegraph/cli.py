@@ -141,6 +141,13 @@ def cmd_associate(args: argparse.Namespace) -> int:
 # evaluate
 
 
+def _claim(found: dict[int, Path], image_id: int, path: Path, what: str) -> None:
+    """Record that ``path`` holds ``image_id``, unless an earlier file did."""
+    if image_id in found:
+        raise IntegrityError(f"duplicate {what} {image_id} in {found[image_id]} and {path}")
+    found[image_id] = path
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = _config_from_args(args)
     # metrics.evaluate owns the image-id rules; the checks here only name
@@ -151,12 +158,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with _naming(path):
             scenes = parse_annotations_payload(read_json(path))
         for scene in scenes:
-            if scene.image_id in annotated_in:
-                raise IntegrityError(
-                    f"duplicate image_id {scene.image_id} in {annotated_in[scene.image_id]}"
-                    f" and {path}"
-                )
-            annotated_in[scene.image_id] = path
+            _claim(annotated_in, scene.image_id, path, "image_id")
         annotations.extend(scenes)
     predictions = {}
     source_of: dict[int, Path] = {}
@@ -165,12 +167,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             image_id, poses = parse_results_payload(read_json(path))
             if image_id not in annotated_in:
                 raise IntegrityError(f"predictions reference unknown image {image_id}")
-        if image_id in predictions:
-            raise IntegrityError(
-                f"duplicate results for image_id {image_id} in {source_of[image_id]} and {path}"
-            )
+        _claim(source_of, image_id, path, "results for image_id")
         predictions[image_id] = poses
-        source_of[image_id] = path
     report = evaluate(predictions, annotations, sigmas=spec.oks_sigmas)
     if args.out:
         write_json_atomic(args.out, report_to_payload(report))

@@ -261,11 +261,13 @@ def evaluate(
     """Score predicted poses against annotations over the OKS thresholds
     0.50:0.05:0.95.
 
-    Per image and threshold, predictions in descending score order greedily
-    claim the unmatched annotation with the highest OKS, provided that OKS
-    reaches the threshold. Averaging the 101-point interpolated AP over
-    thresholds gives the headline metric; per-band AP restricts the image
-    set to one crowding band. Bands with no qualifying image score 0.
+    One pass per image, in image-id order: per threshold, its predictions in
+    descending score order greedily claim the unmatched annotation with the
+    highest OKS, provided that OKS reaches the threshold, and the records
+    pool into the whole image set and the image's crowding band (none when
+    its crowd index is undefined). Averaging the 101-point interpolated AP
+    over thresholds gives the headline metric and each band's AP; a band
+    with no image pools no records and scores 0.0.
 
     Args:
         predictions: image_id -> poses for that image.
@@ -290,64 +292,51 @@ def evaluate(
         if image_id not in ann_by_id:
             raise IntegrityError(f"predictions reference unknown image {image_id}")
 
-    # Per-image prep: scored predictions in rank order and the OKS matrix
-    # against labeled ground-truth persons.
-    prepped: dict[int, tuple[list, list, list[list[float]]]] = {}
-    for scene in annotations:
+    # Records and labeled-person counts, pooled per image set.
+    n_gt = dict.fromkeys(("all", *CrowdingLevel), 0)
+    pooled = {group: {t: [] for t in OKS_THRESHOLDS} for group in n_gt}
+    for image_id in sorted(ann_by_id):
+        scene = ann_by_id[image_id]
         gts = [p for p in scene.persons if p.labeled_joints()]
         preds = sorted(
-            predictions.get(scene.image_id, []),
+            predictions.get(image_id, []),
             key=lambda p: (-p.pose_score, p.proposal_id),
         )
         oks = [[compute_oks(pred, gt, sigmas) for gt in gts] for pred in preds]
-        prepped[scene.image_id] = (preds, gts, oks)
-
-    def band_of(scene: SceneAnnotation) -> CrowdingLevel | None:
         try:
-            return crowding_level(crowd_index(scene))
+            groups = ("all", crowding_level(crowd_index(scene)))
         except UndefinedMetricError:
-            return None
+            groups = ("all",)
+        for group in groups:
+            n_gt[group] += len(gts)
+        for t in OKS_THRESHOLDS:
+            taken = [False] * len(gts)
+            records = []
+            for pred, row in zip(preds, oks):
+                best_gi, best_oks = -1, 0.0
+                for gi, value in enumerate(row):
+                    if not taken[gi] and value > best_oks:
+                        best_gi, best_oks = gi, value
+                # Every threshold is positive, so a match has best_gi >= 0.
+                matched = best_oks >= t
+                if matched:
+                    taken[best_gi] = True
+                records.append((pred.pose_score, image_id, pred.proposal_id, matched))
+            for group in groups:
+                pooled[group][t].extend(records)
 
-    image_ids = sorted(ann_by_id)
-    bands = {image_id: band_of(ann_by_id[image_id]) for image_id in image_ids}
-
-    def matched_records(image_id: int, threshold: float) -> list:
-        preds, gts, oks = prepped[image_id]
-        records = []
-        taken = [False] * len(gts)
-        for pred, row in zip(preds, oks):
-            best_gi = -1
-            best_oks = 0.0
-            for gi, value in enumerate(row):
-                if not taken[gi] and value > best_oks:
-                    best_gi, best_oks = gi, value
-            matched = best_gi >= 0 and best_oks >= threshold
-            if matched:
-                taken[best_gi] = True
-            records.append((pred.pose_score, image_id, pred.proposal_id, matched))
-        return records
-
-    # Each image is matched once per threshold; the image sets pool those.
-    matches = {t: {i: matched_records(i, t) for i in image_ids} for t in OKS_THRESHOLDS}
-
-    def mean_ap_ar(subset: list[int]) -> tuple[float, float, dict[float, tuple[float, float]]]:
-        n_gt = sum(len(prepped[i][1]) for i in subset)
+    def mean_ap_ar(group: str) -> tuple[float, float, dict[float, tuple[float, float]]]:
         per_threshold = {
-            t: _ap_and_ar([r for i in subset for r in matches[t][i]], n_gt)
-            for t in OKS_THRESHOLDS
+            t: _ap_and_ar(pooled[group][t], n_gt[group]) for t in OKS_THRESHOLDS
         }
         ap = math.fsum(v[0] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
         ar = math.fsum(v[1] for v in per_threshold.values()) / len(OKS_THRESHOLDS)
         return ap, ar, per_threshold
 
-    map_all, mar_all, per_t = mean_ap_ar(image_ids)
+    map_all, mar_all, per_t = mean_ap_ar("all")
     ap_50, ar_50 = per_t[0.5]
     ap_75, ar_75 = per_t[0.75]
-
-    band_ap = {}
-    for level in CrowdingLevel:
-        subset = [i for i in image_ids if bands[i] is level]
-        band_ap[level] = mean_ap_ar(subset)[0] if subset else 0.0
+    band_ap = {level: mean_ap_ar(level)[0] for level in CrowdingLevel}
 
     return EvalReport(
         map_50_95=map_all,

@@ -493,14 +493,9 @@ def pose_dedup_baseline(poses: list[Pose]) -> list[Pose]:
     order = sorted(
         range(len(poses)), key=lambda idx: (-poses[idx].pose_score, poses[idx].proposal_id)
     )
-    kept_idx: list[int] = []
+    # Kept index -> its pseudo ground truth, inserted in score order.
     references: dict[int, GroundTruthPerson] = {}
     for idx in order:
-        if all(
-            compute_oks(poses[idx], references[kept]) <= 0.7
-            for kept in kept_idx
-        ):
-            kept_idx.append(idx)
+        if all(compute_oks(poses[idx], ref) <= 0.7 for ref in references.values()):
             references[idx] = _pose_as_pseudo_gt(poses[idx])
-    kept = set(kept_idx)
-    return [p for idx, p in enumerate(poses) if idx in kept]
+    return [p for idx, p in enumerate(poses) if idx in references]

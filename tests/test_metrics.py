@@ -406,6 +406,66 @@ def test_evaluate_band_split_scores_uncovered_bands_zero():
     assert report.ap_hard == 0.0
 
 
+def _band_scenes():
+    """One image per crowding band, then one whose crowd index is undefined,
+    each with an exact pose of person 0 and a pose of person 1 shifted
+    further in each band, so the three band APs differ."""
+    column = [(k, (10.0, 5.0 + k)) for k in range(5)]
+    easy = _far_apart_scene(0)
+    # Five of each person's ten own joints sit in the other's box: index 0.5.
+    medium = SceneAnnotation(image_id=1, persons=(
+        gt_person(column + [(k, (70.0, 5.0 + k)) for k in range(5, 10)],
+                  (0.0, 0.0, 100.0, 100.0), person_id=0),
+        gt_person([(k, (150.0, 5.0 + k)) for k in range(5)]
+                  + [(k, (80.0, 5.0 + k)) for k in range(5, 10)],
+                  (60.0, 0.0, 100.0, 100.0), person_id=1),
+    ))
+    # Two persons share one box: each box holds as many foreign joints as
+    # own, index 1.0.
+    hard = SceneAnnotation(image_id=2, persons=(
+        gt_person(column, (0.0, 0.0, 100.0, 100.0), person_id=0),
+        gt_person([(k, (40.0, 5.0 + k)) for k in range(5)],
+                  (0.0, 0.0, 100.0, 100.0), person_id=1),
+    ))
+    # The only person's joints lie outside its own box.
+    undefined = SceneAnnotation(image_id=3, persons=(
+        gt_person([(k, (500.0, 400.0 + k)) for k in range(5)], (0, 0, 10, 10)),
+    ))
+    scenes = [easy, medium, hard, undefined]
+    predictions = {
+        s.image_id: [
+            pose_from(p, proposal_id=p.person_id, score=0.9 - 0.1 * s.image_id,
+                      shift=(3.0 * 3 ** s.image_id * p.person_id, 0.0))
+            for p in s.persons
+        ]
+        for s in scenes
+    }
+    return scenes, predictions
+
+
+def test_evaluate_band_ap_equals_map_of_the_band_alone():
+    scenes, predictions = _band_scenes()
+    bands = [CrowdingLevel.EASY, CrowdingLevel.MEDIUM, CrowdingLevel.HARD]
+    assert [crowding_level(crowd_index(s)) for s in scenes[:3]] == bands
+    with pytest.raises(UndefinedMetricError):
+        crowd_index(scenes[3])
+
+    banded = evaluate({s.image_id: predictions[s.image_id] for s in scenes[:3]},
+                      scenes[:3])
+    band_ap = [banded.ap_easy, banded.ap_medium, banded.ap_hard]
+    alone = [
+        evaluate({s.image_id: predictions[s.image_id]}, [s]).map_50_95
+        for s in scenes[:3]
+    ]
+    assert band_ap == alone
+    assert len(set(alone)) == 3 and all(0.0 < ap < 1.0 for ap in alone)
+
+    # The undefined image counts in the whole set but in no band.
+    pooled = evaluate(predictions, scenes)
+    assert pooled.map_50_95 != banded.map_50_95
+    assert [pooled.ap_easy, pooled.ap_medium, pooled.ap_hard] == band_ap
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_adding_an_exact_match_never_lowers_map(seed):

@@ -911,3 +911,15 @@ def test_pose_dedup_threshold_is_0_7(dx, dropped):
     else:
         assert 0.699 < oks <= 0.7
         assert pose_dedup_baseline([a, b]) == [a, b]
+
+
+def test_pose_dedup_compares_only_against_kept_poses():
+    # b duplicates a and is dropped; c duplicates b but not a, and b was not
+    # kept, so c survives. Survivors come back in input order.
+    a = _pose_at(10.0, 10.0, 0, 0.9)
+    b = _pose_at(14.0, 10.0, 1, 0.8)
+    c = _pose_at(18.0, 10.0, 2, 0.7)
+    assert compute_oks(b, _pose_as_pseudo_gt(a)) > 0.7
+    assert compute_oks(c, _pose_as_pseudo_gt(b)) > 0.7
+    assert compute_oks(c, _pose_as_pseudo_gt(a)) <= 0.7
+    assert pose_dedup_baseline([c, a, b]) == [c, a]
