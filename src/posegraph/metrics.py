@@ -183,10 +183,10 @@ def _joint_array(persons: Sequence[GroundTruthPerson]) -> np.ndarray:
     return joints
 
 
-def _crowd_index_of(boxes: np.ndarray, joints: np.ndarray) -> float | None:
-    """The crowd index of persons given as arrays (see ``_joints_in_boxes``),
-    or None when no person has a labeled joint in its own box."""
-    counts = _joints_in_boxes(boxes, joints).sum(axis=2)
+def _crowd_index_of(inside: np.ndarray) -> float | None:
+    """The crowd index of persons with joint-in-box matrix ``inside`` (see
+    ``_joints_in_boxes``), or None when no person has a labeled joint in its own box."""
+    counts = inside.sum(axis=2)
     own = np.diagonal(counts)
     foreign = counts.sum(axis=1) - own
     ratios = [f / o for f, o in zip(foreign.tolist(), own.tolist()) if o]
@@ -207,7 +207,7 @@ def crowd_index(scene: SceneAnnotation) -> float:
         UndefinedMetricError: no person has a labeled joint in its own box.
     """
     boxes = np.array([p.bbox for p in scene.persons], dtype=float).reshape(-1, 4)
-    index = _crowd_index_of(boxes, _joint_array(scene.persons))
+    index = _crowd_index_of(_joints_in_boxes(boxes, _joint_array(scene.persons)))
     if index is None:
         raise UndefinedMetricError(
             f"image {scene.image_id}: no person with labeled joints in its own bbox"

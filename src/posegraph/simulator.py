@@ -148,10 +148,11 @@ def _sample_bodies(rng: np.random.Generator, count: int) -> list[list[tuple[floa
 
 
 def _build_annotation(
-    spec: SceneSpec, boxes: np.ndarray, joints: np.ndarray
+    spec: SceneSpec, boxes: np.ndarray, joints: np.ndarray, inside: np.ndarray
 ) -> SceneAnnotation:
+    """The annotation of persons with these boxes and joints, given their
+    joint-in-box matrix ``inside``, whose diagonal this clears."""
     # A joint is occluded (visibility 1) when another person's box covers it.
-    inside = _joints_in_boxes(boxes, joints)
     inside[np.diag_indices(len(boxes))] = False
     occluded = inside.any(axis=0).tolist()
     persons = tuple(
@@ -177,8 +178,10 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     Person shapes and layout directions are sampled once; a scalar spread
     factor (0 = fully stacked, large = far apart) is then swept over a fixed
     grid and the value whose measured crowd index is closest to the target
-    wins. ``on_target`` reports whether the result is within 0.1; if not,
-    the closest achieved scene is still returned.
+    wins. Each spread is measured once, and the winner's annotation,
+    visibility included, is built from the boxes, joints and joint-in-box
+    matrix that measured it. ``on_target`` reports whether the result is
+    within 0.1; if not, the closest achieved scene is still returned.
     """
     rng = np.random.default_rng((spec.seed, 0))
     count = int(rng.integers(spec.person_min, spec.person_max + 1))
@@ -196,38 +199,32 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     centre = np.array([IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0])
     body_array, offset_array = np.array(bodies), np.array(offsets)
 
-    def layout(spread: float) -> tuple[np.ndarray, np.ndarray]:
-        """Boxes (P x 4) and joints (P x 14 x 2) at one spread."""
+    def measure(spread: float) -> tuple:
+        """(distance to the target, spread, crowd index, boxes P x 4,
+        joints P x 14 x 2, joint-in-box matrix) at one spread."""
         # Keep these float operations and their order: tests pin the
         # scenes' bytes by SHA-256.
         joints = (centre + spread * offset_array * centre)[:, None, :] + body_array
         low, high = joints.min(axis=1), joints.max(axis=1)
         margin = (high - low) * _BOX_MARGIN
-        return np.hstack([low - margin, (high - low) + 2 * margin]), joints
-
-    def achieved(spread: float) -> tuple[float, float, float]:
-        """(distance to the target, spread, crowd index) at one spread."""
-        index = _crowd_index_of(*layout(spread))
+        boxes = np.hstack([low - margin, (high - low) + 2 * margin])
+        inside = _joints_in_boxes(boxes, joints)
+        index = _crowd_index_of(inside)
         index = 0.0 if index is None else index
-        return abs(index - spec.target_crowd_index), spread, index
+        return abs(index - spec.target_crowd_index), spread, index, boxes, joints, inside
 
-    best = achieved(0.0)
-    for step in range(1, 41):
-        trial = achieved(step * 0.05)
-        if trial[0] < best[0]:
-            best = trial
+    # Of equal distances, min keeps the earlier spread.
+    best = min((measure(step * 0.05) for step in range(41)), key=lambda t: t[0])
     # The fine steps move with the best spread so far; step 0 would only
     # measure it again.
     for step in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
         spread = best[1] + step * 0.01
         if spread >= 0:
-            trial = achieved(spread)
-            if trial[0] < best[0]:
-                best = trial
+            best = min(best, measure(spread), key=lambda t: t[0])
 
-    err, spread, index = best
+    err, _spread, index, *measured = best
     return GeneratedScene(
-        annotation=_build_annotation(spec, *layout(spread)),
+        annotation=_build_annotation(spec, *measured),
         achieved_crowd_index=index,
         on_target=err <= 0.1,
     )
@@ -245,6 +242,15 @@ def simulate_proposals(scene: SceneAnnotation, spec: SceneSpec) -> list[PersonPr
     """
     rng = np.random.default_rng((spec.seed, 1))
     proposals = []
+
+    def propose(cx, cy, w, h, shrink, low, high):
+        ew, eh = _BOX_EXTENSION * w * shrink, _BOX_EXTENSION * h * shrink
+        box = (cx - ew / 2.0, cy - eh / 2.0, ew, eh)
+        score = float(rng.uniform(low, high))  # drawn after the box's own draws
+        proposals.append(
+            PersonProposal(proposal_id=len(proposals), bbox=box, detection_score=score)
+        )
+
     for person in scene.persons:
         x, y, w, h = person.bbox
         cx, cy = x + w / 2.0, y + h / 2.0
@@ -253,28 +259,14 @@ def simulate_proposals(scene: SceneAnnotation, spec: SceneSpec) -> list[PersonPr
             cy += rng.normal(0.0, spec.sigma_noise)
             w *= 1.0 + rng.uniform(-0.1, 0.1)
             h *= 1.0 + rng.uniform(-0.1, 0.1)
-        ew, eh = _BOX_EXTENSION * w, _BOX_EXTENSION * h
-        proposals.append(
-            PersonProposal(
-                proposal_id=len(proposals),
-                bbox=(cx - ew / 2.0, cy - eh / 2.0, ew, eh),
-                detection_score=float(rng.uniform(0.85, 1.0)),
-            )
-        )
+        propose(cx, cy, w, h, 1.0, 0.85, 1.0)
     for person in scene.persons:
         if rng.random() < spec.fp_rate:
             x, y, w, h = person.bbox
             shrink = rng.uniform(0.6, 0.9)
             cx = x + w / 2.0 + rng.uniform(-0.3, 0.3) * w
             cy = y + h / 2.0 + rng.uniform(-0.3, 0.3) * h
-            ew, eh = _BOX_EXTENSION * w * shrink, _BOX_EXTENSION * h * shrink
-            proposals.append(
-                PersonProposal(
-                    proposal_id=len(proposals),
-                    bbox=(cx - ew / 2.0, cy - eh / 2.0, ew, eh),
-                    detection_score=float(rng.uniform(0.5, 0.75)),
-                )
-            )
+            propose(cx, cy, w, h, shrink, 0.5, 0.75)
     return proposals
 
 

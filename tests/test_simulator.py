@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posegraph import simulator
 from posegraph.formats import annotations_to_payload, candidates_to_payload, dump_json
 from posegraph.graph import PersonProposal, build_graph
 from posegraph.grouping import group_candidates
@@ -14,6 +15,8 @@ from posegraph.metrics import (
     CrowdingLevel,
     GroundTruthPerson,
     SceneAnnotation,
+    _crowd_index_of,
+    _joints_in_boxes,
     crowd_index,
     crowding_level,
 )
@@ -120,6 +123,95 @@ def test_achieved_index_matches_metric_recomputation():
                              target_crowd_index=target, seed=seed)
             generated = generate_scene(spec)
             assert generated.achieved_crowd_index == crowd_index(generated.annotation)
+
+
+def two_loop_generate_scene(spec):
+    """The spread search as it stood before it kept what it measured: it
+    lays the winner out again and runs the joint-in-box test on it a
+    second time."""
+    rng = np.random.default_rng((spec.seed, 0))
+    count = int(rng.integers(spec.person_min, spec.person_max + 1))
+    bodies = simulator._sample_bodies(rng, count)
+    offsets = []
+    for idx in range(count):
+        angle = 2.0 * math.pi * (idx + rng.uniform(-0.2, 0.2)) / count
+        radius = rng.uniform(0.7, 1.3)
+        offsets.append((radius * math.cos(angle), radius * math.sin(angle)))
+    centre = np.array([simulator.IMAGE_WIDTH / 2.0, simulator.IMAGE_HEIGHT / 2.0])
+    body_array, offset_array = np.array(bodies), np.array(offsets)
+
+    def layout(spread):
+        joints = (centre + spread * offset_array * centre)[:, None, :] + body_array
+        low, high = joints.min(axis=1), joints.max(axis=1)
+        margin = (high - low) * simulator._BOX_MARGIN
+        return np.hstack([low - margin, (high - low) + 2 * margin]), joints
+
+    def achieved(spread):
+        index = _crowd_index_of(_joints_in_boxes(*layout(spread)))
+        index = 0.0 if index is None else index
+        return abs(index - spec.target_crowd_index), spread, index
+
+    best = achieved(0.0)
+    for step in range(1, 41):
+        trial = achieved(step * 0.05)
+        if trial[0] < best[0]:
+            best = trial
+    for step in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+        spread = best[1] + step * 0.01
+        if spread >= 0:
+            trial = achieved(spread)
+            if trial[0] < best[0]:
+                best = trial
+
+    err, spread, index = best
+    boxes, joints = layout(spread)
+    inside = _joints_in_boxes(boxes, joints)
+    inside[np.diag_indices(len(boxes))] = False
+    occluded = inside.any(axis=0).tolist()
+    persons = tuple(
+        GroundTruthPerson(
+            person_id=idx,
+            keypoints=tuple(
+                ((x, y), 1 if hidden else 2) for (x, y), hidden in zip(points, flags)
+            ),
+            bbox=tuple(box),
+        )
+        for idx, (points, flags, box) in enumerate(
+            zip(joints.tolist(), occluded, boxes.tolist())
+        )
+    )
+    annotation = SceneAnnotation(
+        image_id=spec.seed, persons=persons,
+        width=simulator.IMAGE_WIDTH, height=simulator.IMAGE_HEIGHT,
+    )
+    return annotation, index, err <= 0.1
+
+
+# (person_min, person_max, target, seeds); the seed ranges were fixed before
+# the first run and must not move to make the test pass.
+REFERENCE_SEARCH_CASES = {
+    "default": (2, 6, 0.5, range(40)),
+    "2-12@0.0": (2, 12, 0.0, range(20)),
+    "2-12@0.3": (2, 12, 0.3, range(20)),
+    "2-12@0.9": (2, 12, 0.9, range(20)),
+    "2-12@1.0": (2, 12, 1.0, range(20)),
+    "single@0.0": (1, 1, 0.0, range(10)),
+    "single@1.0": (1, 1, 1.0, range(10)),
+    "30@1.0": (30, 30, 1.0, range(5)),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_SEARCH_CASES))
+def test_search_matches_two_loop_reference(case):
+    person_min, person_max, target, seeds = REFERENCE_SEARCH_CASES[case]
+    for seed in seeds:
+        spec = SceneSpec(person_min=person_min, person_max=person_max,
+                         target_crowd_index=target, seed=seed)
+        generated = generate_scene(spec)
+        annotation, index, on_target = two_loop_generate_scene(spec)
+        assert repr(generated.annotation) == repr(annotation), seed
+        assert generated.achieved_crowd_index.hex() == index.hex(), seed
+        assert generated.on_target == on_target, seed
 
 
 def test_noiseless_proposals_are_extended_gt_boxes():
@@ -270,6 +362,16 @@ PINNED_SCENE_DIGESTS = {
     "sparse": (
         dict(person_min=2, person_max=12, target_crowd_index=0.0),
         "f87987ee53011facc9e32acd717cc14db726eacdbe9383a3783ca432509ddbe6",
+    ),
+    # No noise draws, and every person gets a duplicate proposal.
+    "noiseless-all-duplicates": (
+        dict(person_min=2, person_max=6, target_crowd_index=0.5, sigma_noise=0.0,
+             fp_rate=1.0),
+        "7b024ff5f9e1e8ad632b49a958b93c7a2c1ed19e995506569094332abd359258",
+    ),
+    "no-duplicates": (
+        dict(person_min=2, person_max=6, target_crowd_index=0.5, fp_rate=0.0),
+        "77de8e5cdf60f3bcb3bda1bfaeb83d02b14b330cd7e527f08f32faa93976a2a6",
     ),
 }
 
