@@ -15,7 +15,6 @@ import argparse
 
 from posegraph.heatmaps import (
     DEFAULT_SIGMA,
-    Heatmap,
     compose_training_target,
     extract_peaks,
     jc_loss,
@@ -44,12 +43,11 @@ def main() -> int:
     target = [(16.0, 40.0)]
     interference = [(44.0, 24.0), (48.0, 60.0)]
     comp = compose_training_target(target, interference, mu=args.mu, sigma=args.sigma)
-    grid = comp.composite_values()
 
     print(f"composite target, mu={args.mu} (target left, interference right):\n")
-    print(ascii_grid(grid))
+    print(ascii_grid(comp.values))
 
-    perfect = Heatmap(grid)
+    perfect = comp  # a perfect prediction reproduces the target
     print("\nextracted peaks (location, response):")
     for location, response in extract_peaks(perfect):
         kind = "target" if location in target else "interference"

@@ -17,7 +17,6 @@ from .grouping import (
     weighted_center,
 )
 from .heatmaps import (
-    CompositeTarget,
     Heatmap,
     compose_training_target,
     extract_peaks,
@@ -57,7 +56,6 @@ from .solver import (
 __all__ = [
     "Assignment",
     "CandidateJoint",
-    "CompositeTarget",
     "CrowdingLevel",
     "Edge",
     "EvalReport",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config_file
-from .errors import FormatError, IntegrityError, UndefinedMetricError
+from .errors import FormatError, IntegrityError
 from .formats import (
     annotations_to_payload,
     candidates_to_payload,
@@ -244,16 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1
-    except UndefinedMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (FileNotFoundError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,11 @@ OKS_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
 
 VIS_OCCLUDED = 1
 VIS_VISIBLE = 2
+
+# Boxes per joint-in-box block in crowd_index: a block of B boxes against G
+# persons holds B x G x 14 booleans, so memory grows with G, not G^2. One
+# block covers a 30-person image.
+_BOX_BLOCK = 64
 
 
 def check_bbox(bbox: tuple[float, float, float, float]) -> None:
@@ -183,13 +188,18 @@ def _joint_array(persons: Sequence[GroundTruthPerson]) -> np.ndarray:
     return joints
 
 
-def _crowd_index_of(inside: np.ndarray) -> float | None:
-    """The crowd index of persons with joint-in-box matrix ``inside`` (see
-    ``_joints_in_boxes``), or None when no person has a labeled joint in its own box."""
-    counts = inside.sum(axis=2)
-    own = np.diagonal(counts)
-    foreign = counts.sum(axis=1) - own
-    ratios = [f / o for f, o in zip(foreign.tolist(), own.tolist()) if o]
+def _crowd_index_of(blocks: Iterable[np.ndarray]) -> float | None:
+    """The crowd index of persons whose joint-in-box matrix (see
+    ``_joints_in_boxes``) comes as consecutive blocks of box rows, or None
+    when no person has a labeled joint in its own box."""
+    ratios = []
+    first = 0
+    for inside in blocks:
+        counts = inside.sum(axis=2)
+        own = np.diagonal(counts, first)
+        foreign = counts.sum(axis=1) - own
+        ratios += [f / o for f, o in zip(foreign.tolist(), own.tolist()) if o]
+        first += len(counts)
     if not ratios:
         return None
     return math.fsum(ratios) / len(ratios)
@@ -207,7 +217,11 @@ def crowd_index(scene: SceneAnnotation) -> float:
         UndefinedMetricError: no person has a labeled joint in its own box.
     """
     boxes = np.array([p.bbox for p in scene.persons], dtype=float).reshape(-1, 4)
-    index = _crowd_index_of(_joints_in_boxes(boxes, _joint_array(scene.persons)))
+    joints = _joint_array(scene.persons)
+    index = _crowd_index_of(
+        _joints_in_boxes(boxes[start : start + _BOX_BLOCK], joints)
+        for start in range(0, len(boxes), _BOX_BLOCK)
+    )
     if index is None:
         raise UndefinedMetricError(
             f"image {scene.image_id}: no person with labeled joints in its own bbox"

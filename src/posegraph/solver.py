@@ -421,6 +421,18 @@ def _poses_from_triples(
     return poses
 
 
+def _greedy_picks(graph: PersonJointGraph) -> dict[tuple[int, int], tuple[float, int]]:
+    """(joint_type, proposal) -> (-weight, node) of the proposal's
+    highest-weight edge of that type, ties to the lower node_id."""
+    best: dict[tuple[int, int], tuple[float, int]] = {}
+    for e in graph.edges:
+        key = (e.joint_type, e.proposal)
+        cur = best.get(key)
+        if cur is None or (-e.weight, e.node) < cur:
+            best[key] = (-e.weight, e.node)
+    return best
+
+
 def greedy_select(graph: PersonJointGraph) -> list[tuple[int, int, int]]:
     """Per-proposal greedy choice, ignoring node exclusivity.
 
@@ -432,13 +444,7 @@ def greedy_select(graph: PersonJointGraph) -> list[tuple[int, int, int]]:
     Returns:
         (joint_type, proposal, node) triples sorted ascending.
     """
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    for e in graph.edges:
-        key = (e.joint_type, e.proposal)
-        cur = best.get(key)
-        if cur is None or (-e.weight, e.node) < cur:
-            best[key] = (-e.weight, e.node)
-    return sorted((k, i, node) for (k, i), (_nw, node) in best.items())
+    return sorted((k, i, node) for (k, i), (_nw, node) in _greedy_picks(graph).items())
 
 
 def greedy_total_weight(graph: PersonJointGraph) -> float:
@@ -449,12 +455,10 @@ def greedy_total_weight(graph: PersonJointGraph) -> float:
     keeping each node's strongest claim, so the global optimum is always at
     least this value.
     """
-    edge_weight = {(e.proposal, e.node): e.weight for e in graph.edges}
     claimed: dict[int, float] = {}
-    for _k, i, j in greedy_select(graph):
-        w = edge_weight[(i, j)]
-        if j not in claimed or w > claimed[j]:
-            claimed[j] = w
+    for neg_weight, j in _greedy_picks(graph).values():
+        if j not in claimed or -neg_weight > claimed[j]:
+            claimed[j] = -neg_weight
     return math.fsum(claimed[j] for j in sorted(claimed))
 
 

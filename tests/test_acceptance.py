@@ -22,7 +22,7 @@ from posegraph.grouping import (
     same_group,
     weighted_center,
 )
-from posegraph.heatmaps import compose_training_target, jc_loss, render_gaussian
+from posegraph.heatmaps import Heatmap, compose_training_target, jc_loss, render_gaussian
 from posegraph.joints import JOINT_COUNT, JointSpec
 from posegraph.metrics import (
     CrowdingLevel,
@@ -229,18 +229,16 @@ def test_criterion_04_clean_scenes_evaluate_perfectly():
 
 def test_criterion_05_composite_supervision_oracle():
     mu = 0.5
-    comp = compose_training_target(
-        [(20.0, 20.0)], [(50.0, 50.0)], mu=mu, sigma=2.0, width=64, height=80
-    )
-    pred = type(comp.target)(comp.composite_values())
-    zero_loss = jc_loss([pred], [comp])
+    target = compose_training_target([(20.0, 20.0)], [(50.0, 50.0)], mu=mu, sigma=2.0)
+    pred = Heatmap(target.values.copy())
+    zero_loss = jc_loss([pred], [target])
 
     plain = compose_training_target([(20.0, 20.0)], [(50.0, 50.0)], mu=0.0)
     mu_zero_matches = np.array_equal(
-        plain.composite_values(), plain.target.values
+        plain.values, render_gaussian([(20.0, 20.0)], sigma=2.0).values
     )
 
-    interference_peak = comp.composite_values()[50, 50]
+    interference_peak = target.values[50, 50]
     peak_error = abs(interference_peak - mu)
     _report(
         5,

@@ -93,6 +93,23 @@ def test_synth_refuses_a_bad_setting_before_writing(tmp_path, capsys, flags, mes
     assert not (tmp_path / "x").exists()
 
 
+def test_synth_refuses_more_persons_than_the_limit(tmp_path, capsys, monkeypatch):
+    # A scene's cost grows with the square of its persons; the refusal comes
+    # before any scene is simulated, so this test never starts a large run.
+    def simulated(spec):
+        pytest.fail(f"simulated a scene of up to {spec.person_max} persons")
+
+    monkeypatch.setattr("posegraph.cli.simulate_scene", simulated)
+    for flags in (["--persons", "1001"], ["--person-max", "1001"]):
+        out = tmp_path / "x"
+        code, stdout, stderr = run(capsys, "synth", *flags, "--out", str(out))
+        assert code == 2
+        assert "person_max 1001 exceeds the limit of 1000 persons per scene" in stderr
+        assert stdout == ""
+        assert not out.exists()
+    assert SceneSpec(person_min=1000, person_max=1000).person_max == 1000
+
+
 def test_synth_smallest_sigma_round_trips_through_associate(tmp_path, capsys):
     # 1e-6 is the smallest response size the 6-decimal candidate file keeps.
     out = tmp_path / "scenes"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,38 @@ def test_crowd_index_counts_joints_on_every_box_edge():
         ),
     )
     assert crowd_index(scene) == reference_crowd_index(scene) == 4.0
+
+
+def scattered_scene(count, side, seed=0):
+    """``count`` 40 x 80 persons at random spots of a ``side``-pixel square."""
+    rng = random.Random(seed)
+    persons = []
+    for pid in range(count):
+        x, y = rng.uniform(0, side), rng.uniform(0, side)
+        joints = [(k, (x + rng.uniform(0, 40), y + rng.uniform(0, 80))) for k in range(14)]
+        persons.append(gt_person(joints, (x, y, 40.0, 80.0), person_id=pid))
+    return SceneAnnotation(image_id=0, persons=tuple(persons))
+
+
+def test_crowd_index_across_box_blocks_equals_reference_loop():
+    # 150 persons span several blocks of boxes, the last one partial.
+    scene = scattered_scene(150, 300)
+    assert crowd_index(scene) > 1
+    assert crowd_index(scene).hex() == reference_crowd_index(scene).hex()
+
+
+def test_crowd_index_memory_grows_linearly_with_persons():
+    # A full person x person x joint matrix peaks above 100 MiB at 2,000
+    # persons; blocks of boxes stay a few MiB.
+    scene = scattered_scene(2000, 2000)
+    tracemalloc.start()
+    try:
+        index = crowd_index(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index > 0
+    assert peak < 20 * 2**20, f"crowd_index peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_crowding_level_bands_and_edges():

@@ -147,7 +147,7 @@ def two_loop_generate_scene(spec):
         return np.hstack([low - margin, (high - low) + 2 * margin]), joints
 
     def achieved(spread):
-        index = _crowd_index_of(_joints_in_boxes(*layout(spread)))
+        index = _crowd_index_of([_joints_in_boxes(*layout(spread))])
         index = 0.0 if index is None else index
         return abs(index - spec.target_crowd_index), spread, index
 
