@@ -6,7 +6,6 @@ assignment, with greedy and pose-suppression baselines, crowding metrics,
 a synthetic scene generator, and a CLI tying the stages together.
 """
 
-from .config import build_config, load_config_file
 from .errors import FormatError, IntegrityError, UndefinedMetricError
 from .graph import Edge, PersonJointGraph, PersonProposal, build_graph, degree_stats
 from .grouping import (
@@ -77,7 +76,6 @@ __all__ = [
     "UndefinedMetricError",
     "association_accuracy",
     "bbox_iou",
-    "build_config",
     "build_graph",
     "build_poses",
     "compose_training_target",
@@ -93,7 +91,6 @@ __all__ = [
     "greedy_total_weight",
     "group_candidates",
     "jc_loss",
-    "load_config_file",
     "pose_dedup_baseline",
     "render_gaussian",
     "same_group",

@@ -13,7 +13,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import load_config_file
 from .errors import FormatError, IntegrityError
 from .formats import (
     annotations_to_payload,
@@ -43,13 +42,6 @@ def _naming(path: str | Path):
         raise IntegrityError(f"{path}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def _config_from_args(args: argparse.Namespace) -> JointSpec:
-    if not args.config:
-        return JointSpec()
-    with _naming(args.config):
-        return load_config_file(args.config)
 
 
 def _collect(path: Path, suffix: str) -> list[Path]:
@@ -110,7 +102,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_associate(args: argparse.Namespace) -> int:
-    spec = _config_from_args(args)
+    spec = JointSpec()
     out = Path(args.out) if args.out else None
     into_dir = out is not None and (Path(args.input).is_dir() or out.is_dir())
     for path in _collect(Path(args.input), ".candidates.json"):
@@ -149,7 +141,6 @@ def _claim(found: dict[int, Path], image_id: int, path: Path, what: str) -> None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    spec = _config_from_args(args)
     # metrics.evaluate owns the image-id rules; the checks here only name
     # the files that break them.
     annotations: list[SceneAnnotation] = []
@@ -169,7 +160,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise IntegrityError(f"predictions reference unknown image {image_id}")
         _claim(source_of, image_id, path, "results for image_id")
         predictions[image_id] = poses
-    report = evaluate(predictions, annotations, sigmas=spec.oks_sigmas)
+    report = evaluate(predictions, annotations)
     if args.out:
         write_json_atomic(args.out, report_to_payload(report))
     for key, value in report.to_dict().items():
@@ -224,14 +215,12 @@ def make_parser() -> argparse.ArgumentParser:
                            default="global")
     associate.add_argument("--out", default=None, help="results directory if the "
                            "input or --out is a directory, else results file")
-    associate.add_argument("--config", help="JSON file; only its 'delta' table is read")
     associate.set_defaults(func=cmd_associate)
 
     evaluate_ = sub.add_parser("evaluate", help="score results against annotations")
     evaluate_.add_argument("--results", required=True)
     evaluate_.add_argument("--annotations", required=True)
     evaluate_.add_argument("--out", default=None, help="report JSON path")
-    evaluate_.add_argument("--config", help="JSON file; only its 'oks_sigmas' table is read")
     evaluate_.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 JOINT_COUNT = 14
@@ -39,12 +39,10 @@ OKS_SIGMAS = (
 )
 
 
-def default_grouping_deltas() -> tuple[float, ...]:
-    """Per-joint grouping tolerances, proportional to the OKS constants but
-    rescaled to mean 1.0 so the control radius ``u * delta`` stays on the order
-    of one Gaussian response size."""
-    mean = sum(OKS_SIGMAS) / len(OKS_SIGMAS)
-    return tuple(s / mean for s in OKS_SIGMAS)
+# Per-joint grouping tolerances, proportional to the OKS constants but
+# rescaled to mean 1.0 so the control radius ``u * delta`` stays on the order
+# of one Gaussian response size.
+GROUPING_DELTAS = tuple(s / (sum(OKS_SIGMAS) / len(OKS_SIGMAS)) for s in OKS_SIGMAS)
 
 
 def check_oks_sigmas(sigmas: Sequence[float]) -> None:
@@ -57,15 +55,13 @@ def check_oks_sigmas(sigmas: Sequence[float]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class JointSpec:
-    """Both per-joint tables: ``delta``, the control deviation that groups
-    candidate joints, and ``oks_sigmas``, the OKS falloff constants."""
+    """The grouping table: ``delta``, the per-joint control deviation that
+    groups candidate joints."""
 
-    delta: tuple[float, ...] = field(default_factory=default_grouping_deltas)
-    oks_sigmas: tuple[float, ...] = OKS_SIGMAS
+    delta: tuple[float, ...] = GROUPING_DELTAS
 
     def __post_init__(self):
         if len(self.delta) != JOINT_COUNT:
             raise ValueError("delta must have one entry per joint")
         if not all(0.0 < d < math.inf for d in self.delta):
             raise ValueError("every delta entry must be positive and finite")
-        check_oks_sigmas(self.oks_sigmas)

@@ -180,8 +180,7 @@ def _joints_in_boxes(boxes: np.ndarray, joints: np.ndarray) -> np.ndarray:
 
 def _joint_array(persons: Sequence[GroundTruthPerson]) -> np.ndarray:
     """The persons' joint locations, P x K x 2 with NaN for unlabeled slots."""
-    slots = max((len(p.keypoints) for p in persons), default=0)
-    joints = np.full((len(persons), slots, 2), np.nan)
+    joints = np.full((len(persons), JOINT_COUNT, 2), np.nan)
     for j, person in enumerate(persons):
         for k, loc in person.labeled_joints():
             joints[j, k] = loc

@@ -9,7 +9,6 @@ import pytest
 import posegraph
 from posegraph.cli import main
 from posegraph.formats import candidates_to_payload, dump_json, read_json
-from posegraph.joints import OKS_SIGMAS, default_grouping_deltas
 from posegraph.simulator import SceneSpec, simulate_scene
 
 
@@ -290,10 +289,6 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
         ("annotations", {**_ANNOTATIONS, "images": 5}, "images"),
         ("results", {**_RESULTS, "poses": [_POSE]},
          "pose keypoint field 'x' must be a number, got null"),
-        ("config", {"delta": ["abc"]}, "'delta' must be a number, got a string"),
-        ("config", {"oks_sigmas": [True]}, "'oks_sigmas' must be a number, got a boolean"),
-        ("config", {"delta": [[2]]}, "'delta' must be a number, got a list"),
-        ("config", {"delta": 5}, "'delta' must be a list of numbers"),
         # int() once truncated a non-integral id or count silently (1.5 -> 1)
         ("candidates", {**_CANDIDATES, "image_id": 3.7},
          "'image_id' must be an integer, got 3.7"),
@@ -338,9 +333,8 @@ _PERSON = {"image_id": 0, "person_id": 0, "bbox": [0, 0, 10, 10],
         ("results", [], "results document must be a JSON object"),
     ],
     ids=["proposals-number", "provenance-number", "x-list", "image_id-null",
-         "bbox-null", "images-number", "keypoint-null", "delta-entry-string",
-         "oks_sigmas-entry-boolean", "delta-entry-list", "delta-number", "image_id-fraction", "proposal_id-fraction",
-         "joint_type-fraction", "provenance-person_id-fraction",
+         "bbox-null", "images-number", "keypoint-null", "image_id-fraction",
+         "proposal_id-fraction", "joint_type-fraction", "provenance-person_id-fraction",
          "provenance-joint_type-fraction", "image-id-fraction", "width-fraction",
          "height-fraction", "person_id-fraction", "visibility-fraction",
          "results-image_id-fraction", "pose-proposal_id-fraction",
@@ -352,15 +346,13 @@ def test_wrong_json_type_is_named_error(tmp_path, capsys, document, payload, nam
     # Each document once raised TypeError (or, for a boolean, was read as a
     # number, or for a fraction under an integer field, truncated); a wrong
     # type must end as a named error, exit 2.
-    docs = {"candidates": _CANDIDATES, "annotations": _ANNOTATIONS,
-            "results": _RESULTS, "config": {}}
+    docs = {"candidates": _CANDIDATES, "annotations": _ANNOTATIONS, "results": _RESULTS}
     docs[document] = payload
     for name, doc in docs.items():
         (tmp_path / f"in.{name}.json").write_text(json.dumps(doc))
-    if document in ("candidates", "config"):
+    if document == "candidates":
         written = tmp_path / "out.results.json"
-        argv = ["associate", str(tmp_path / "in.candidates.json"),
-                "--config", str(tmp_path / "in.config.json"), "--out", str(written)]
+        argv = ["associate", str(tmp_path / "in.candidates.json"), "--out", str(written)]
     else:
         written = tmp_path / "report.json"
         argv = ["evaluate", "--results", str(tmp_path / "in.results.json"),
@@ -474,25 +466,6 @@ def test_evaluate_error_names_the_file(tmp_path, capsys, kind, edit, message):
     assert code == 2
     assert stderr.startswith(f"error: {bad}: {message}")
     assert stdout == ""
-
-
-def _associate_with_config(tmp_path, capsys, text):
-    # associate on one small candidates file, with ``text`` as its config file.
-    (tmp_path / "in.candidates.json").write_text(json.dumps(_CANDIDATES))
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    written = tmp_path / "out.results.json"
-    code, stdout, stderr = run(
-        capsys, "associate", str(tmp_path / "in.candidates.json"),
-        "--config", str(config), "--out", str(written),
-    )
-    return code, stdout, stderr, config, written
-
-
-def test_config_error_names_the_file_once(tmp_path, capsys):
-    code, _, stderr, config, _ = _associate_with_config(tmp_path, capsys, "[1, 2]")
-    assert code == 2
-    assert stderr == f"error: {config}: config file must hold a JSON object\n"
 
 
 def test_evaluate_clean_pipeline_reaches_perfect_map(tmp_path, capsys):
@@ -667,7 +640,7 @@ def test_evaluate_out_of_range_bbox_is_parse_error(tmp_path, capsys):
     assert "map_50_95" not in stdout
 
 
-def _evaluate_one_person(tmp_path, capsys, person, keypoints, config=None):
+def _evaluate_one_person(tmp_path, capsys, person, keypoints):
     # One annotated person and one predicted pose on image 0.
     (tmp_path / "in.annotations.json").write_text(
         json.dumps({**_ANNOTATIONS, "annotations": [person]})
@@ -676,9 +649,6 @@ def _evaluate_one_person(tmp_path, capsys, person, keypoints, config=None):
     (tmp_path / "in.results.json").write_text(json.dumps({**_RESULTS, "poses": [pose]}))
     argv = ["evaluate", "--results", str(tmp_path / "in.results.json"),
             "--annotations", str(tmp_path / "in.annotations.json")]
-    if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "config.json")]
     return run(capsys, *argv)
 
 
@@ -704,29 +674,13 @@ def test_evaluate_zero_area_bbox_is_named_error(tmp_path, capsys):
     assert "map_50_95" not in stdout
 
 
-def test_evaluate_underflowing_oks_sigma_takes_the_limit(tmp_path, capsys):
-    # 2 s^2 kappa^2 underflows to zero for sigma 1e-200: an exact hit scores
-    # 1 and any miss 0, where the division once raised ZeroDivisionError.
-    keypoints = [[1.5, 1.0, 1.0]] + [[1.0, 1.0, 1.0]] * 13
-    code, stdout, stderr = _evaluate_one_person(
-        tmp_path, capsys, _PERSON, keypoints, config={"oks_sigmas": [1e-200] * 14}
-    )
-    assert (code, stderr) == (0, "")
-    assert "map_50_95    0.9000" in stdout
-
-
-@pytest.mark.parametrize("document", ["candidates", "config"])
+@pytest.mark.parametrize("document", ["candidates"])
 def test_deeply_nested_json_is_named_error(tmp_path, capsys, document):
     # The parser's RecursionError once ended in a traceback with exit 1.
-    (tmp_path / "in.candidates.json").write_text(json.dumps(_CANDIDATES))
-    (tmp_path / "in.config.json").write_text("{}")
     bad = tmp_path / f"in.{document}.json"
     bad.write_text("[" * 100_000)
     written = tmp_path / "out.results.json"
-    code, _, stderr = run(
-        capsys, "associate", str(tmp_path / "in.candidates.json"),
-        "--config", str(tmp_path / "in.config.json"), "--out", str(written),
-    )
+    code, _, stderr = run(capsys, "associate", str(bad), "--out", str(written))
     assert code == 2
     assert stderr == f"error: {bad}: JSON nested too deeply\n"
     assert not written.exists()
@@ -747,15 +701,6 @@ def test_associate_oversized_integer_is_named_error(tmp_path, capsys):
     assert not written.exists()
 
 
-def test_config_oversized_integer_is_named_error(tmp_path, capsys):
-    code, _, stderr, config, written = _associate_with_config(
-        tmp_path, capsys, f'{{"delta": [{_HUGE_INT}]}}'
-    )
-    assert code == 2
-    assert stderr == f"error: {config}: config file field 'delta' is beyond the float range\n"
-    assert not written.exists()
-
-
 def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
     out, _ = synth_clean(tmp_path, capsys)
     code, _, stderr = run(
@@ -767,109 +712,22 @@ def test_evaluate_missing_results_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,config,message",
+    "command,argv",
     [
-        ("associate", {"delta": [1.0] * 5}, "delta must have one entry per joint"),
-        ("associate", {"delta": [0.0] * 14}, "every delta entry must be positive"),
-        ("evaluate", {"oks_sigmas": [0.1, 0.1]}, "oks_sigmas must have 14 entries"),
-        # Every synth setting is a synth flag, so a config file cannot name one.
-        ("associate", {"mu": 0.5}, "unknown config field(s): mu"),
-        ("evaluate", {"mu": 0.5}, "unknown config field(s): mu"),
-        ("associate", {"sigma": 2.0}, "unknown config field(s): sigma"),
-        ("evaluate", {"sigma": 2.0}, "unknown config field(s): sigma"),
+        ("synth", []),
+        ("associate", ["in"]),
+        ("evaluate", ["--results", "in", "--annotations", "in"]),
     ],
+    ids=["synth", "associate", "evaluate"],
 )
-def test_config_range_error_names_the_file(tmp_path, capsys, command, config, message):
-    # load_config_file checks the keys and JointSpec the ranges while the
-    # file is read, so the message names it.
-    scenes, _ = synth_clean(tmp_path, capsys)
-    assert main(["associate", str(scenes)]) == 0
-    capsys.readouterr()
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    argv = {
-        "associate": [str(scenes), "--out", str(tmp_path / "x")],
-        "evaluate": ["--results", str(scenes), "--annotations", str(scenes),
-                     "--out", str(tmp_path / "x")],
-    }[command]
-    code, stdout, stderr = run(capsys, command, "--config", str(path), *argv)
-    assert code == 2
-    assert stderr.startswith(f"error: {path}: {message}")
-    assert stdout == ""
-    assert not (tmp_path / "x").exists()
-
-
-def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    code, _, stderr, _, _ = _associate_with_config(tmp_path, capsys, '{"deltaa": [0.9]}')
-    assert code == 2
-    assert "deltaa" in stderr
-
-
-def test_config_file_cannot_set_the_seed(tmp_path, capsys):
-    # --seed alone decides the scenes, so a config file cannot name a seed.
-    code, _, stderr, _, written = _associate_with_config(tmp_path, capsys, '{"seed": 7}')
-    assert code == 2
-    assert "unknown config field(s): seed" in stderr
-    assert not written.exists()
-
-
-def test_synth_takes_no_config_file(tmp_path, capsys):
+def test_no_command_takes_a_config_file(tmp_path, capsys, command, argv):
     config = tmp_path / "config.json"
     config.write_text("{}")
     with pytest.raises(SystemExit) as exit_:
-        main(["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        main([command, *argv, "--config", str(config), "--out", str(tmp_path / "x")])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
-
-
-def test_config_file_of_the_default_tables_changes_nothing(tmp_path, capsys):
-    scenes, _ = synth_clean(tmp_path, capsys)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(
-        {"delta": list(default_grouping_deltas()), "oks_sigmas": list(OKS_SIGMAS)}
-    ))
-    for name, config in (("plain", []), ("configured", ["--config", str(path)])):
-        assert main(["associate", str(scenes), "--out", str(tmp_path / name), *config]) == 0
-        assert main(["evaluate", "--results", str(tmp_path / name), "--annotations",
-                     str(scenes), "--out", str(tmp_path / f"{name}.json"), *config]) == 0
-    capsys.readouterr()
-    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "configured").iterdir())
-    for name in names:
-        assert (tmp_path / "plain" / name).read_bytes() == (
-            tmp_path / "configured" / name).read_bytes()
-    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "configured.json").read_bytes()
-
-
-def test_each_command_reads_only_its_own_table(tmp_path, capsys):
-    # Both commands load one JointSpec. Each table changes the output of the
-    # command that reads it, and nothing in the other command's output. With
-    # half-pixel noise these scenes score alike for any sigma from 0.03 up.
-    scenes = tmp_path / "scenes"
-    assert main(["synth", "--scenes", "2", "--seed", "0", "--out", str(scenes)]) == 0
-    tables = {"sigmas": {"oks_sigmas": [0.01] * 14},
-              "delta": {"delta": [2 * d for d in default_grouping_deltas()]}}
-    configs = {"plain": []}
-    for name, table in tables.items():
-        (tmp_path / f"{name}.config.json").write_text(json.dumps(table))
-        configs[name] = ["--config", str(tmp_path / f"{name}.config.json")]
-    for name, config in configs.items():
-        assert main(["associate", str(scenes), "--out", str(tmp_path / name), *config]) == 0
-        assert main(["evaluate", "--results", str(tmp_path / "plain"), "--annotations",
-                     str(scenes), "--out", str(tmp_path / f"{name}.json"), *config]) == 0
-    capsys.readouterr()
-
-    def results(name):
-        return [p.read_bytes() for p in sorted((tmp_path / name).iterdir())]
-
-    def report(name):
-        return (tmp_path / f"{name}.json").read_bytes()
-
-    assert results("sigmas") == results("plain")
-    assert report("delta") == report("plain")
-    assert results("delta") != results("plain")
-    assert report("sigmas") != report("plain")
 
 
 @pytest.mark.parametrize(
@@ -896,22 +754,6 @@ def test_failed_write_prints_nothing_and_names_the_given_path(
     assert stdout == ""
     assert stderr.endswith(f"{message}: {out!r}\n")
     assert ".tmp" not in stderr
-
-
-def test_config_delta_reaches_associate(tmp_path, capsys):
-    # A wider grouping tolerance merges more candidates into fewer nodes.
-    scenes = tmp_path / "scenes"
-    assert main(["synth", "--seed", "0", "--out", str(scenes)]) == 0
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"delta": [2 * d for d in default_grouping_deltas()]}))
-    capsys.readouterr()
-    nodes = []
-    for config in ([], ["--config", str(path)]):
-        code, stdout, _ = run(capsys, "associate", str(scenes / "scene_000.candidates.json"),
-                              "--out", str(tmp_path / "out.results.json"), *config)
-        assert code == 0
-        nodes.append(int(stdout.split("nodes=")[1].split()[0]))
-    assert nodes[1] < nodes[0]
 
 
 def test_synth_rejects_negative_seed(tmp_path, capsys):

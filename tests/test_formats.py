@@ -247,8 +247,8 @@ def test_json_numbers_object_matches_per_field_rule(fields, payload):
 
 @st.composite
 def _list_cases(draw):
-    # A list holds one item per field; its schema may repeat a key, as a
-    # config table's (("delta", float),) * 14 does.
+    # A list holds one item per field; its schema may repeat a key, as the
+    # annotation keypoints' (("x", float), ("y", float), ("v", int)) * 14 does.
     repeated = st.builds(lambda kind, n: (("v", kind),) * n,
                          st.sampled_from([int, float]), st.integers(0, 4))
     fields = draw(_schemas | repeated)

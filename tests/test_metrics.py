@@ -377,12 +377,22 @@ def test_evaluate_rejects_duplicate_image_id(order):
     ids=["inf", "nan", "zero", "negative", "twenty"],
 )
 def test_evaluate_checks_oks_sigmas(sigmas, message):
-    # JointSpec checks a config file's sigmas, but a library call passes them
-    # to evaluate directly; infinite sigmas once scored any prediction, however
-    # far, as a match.
+    # Infinite sigmas once scored any prediction, however far, as a match.
     scene = _far_apart_scene(0)
     with pytest.raises(ValueError, match=message):
         evaluate({0: [pose_from(scene.persons[0])]}, [scene], sigmas=sigmas)
+
+
+def test_evaluate_underflowing_oks_sigma_takes_the_limit():
+    # 2 s^2 kappa^2 underflows to zero for sigma 1e-200: an exact hit scores
+    # 1 and any miss 0, where the division once raised ZeroDivisionError.
+    gt = gt_person([(k, (1.0, 1.0)) for k in range(14)], (0, 0, 10, 10))
+    pose = Pose(proposal_id=0, keypoints=(((1.5, 1.0), 1.0),) + (((1.0, 1.0), 1.0),) * 13,
+                pose_score=1.0)
+    sigmas = (1e-200,) * 14
+    assert compute_oks(pose, gt, sigmas) == 13 / 14
+    report = evaluate({0: [pose]}, [SceneAnnotation(image_id=0, persons=(gt,))], sigmas=sigmas)
+    assert report.map_50_95 == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("width,height", [(-640, 0), (0, 480), (640, -1)])

@@ -796,9 +796,9 @@ def test_global_total_never_below_greedy_total(seed):
 
 
 def test_assignment_validation_rejects_conflicts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^proposal 0 assigned twice for joint type 0$"):
         Assignment(selected=frozenset({(0, 0, 0), (0, 0, 1)}), total_weight=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 5 assigned twice$"):
         Assignment(selected=frozenset({(0, 0, 5), (1, 1, 5)}), total_weight=1.0)
 
 
